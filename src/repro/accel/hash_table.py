@@ -52,7 +52,7 @@ def simplified_hash(key: str, base_address: int) -> int:
     return h
 
 
-@dataclass
+@dataclass(slots=True)
 class _HwEntry:
     valid: bool = False
     dirty: bool = False
@@ -61,6 +61,20 @@ class _HwEntry:
     value_ptr: Any = None
     last_access: int = 0
     insert_seq: int = 0
+
+
+@dataclass(frozen=True)
+class _InvalidEntry:
+    """What an invalid slot holds; only ``valid`` is ever read from it."""
+
+    valid: bool = False
+    dirty: bool = False
+
+
+#: The entry every invalid slot shares.  Only valid entries are ever
+#: written, so one frozen instance serves every table, and a fresh
+#: table is one list instead of ``entries`` objects.
+_INVALID = _InvalidEntry()
 
 
 @dataclass
@@ -202,7 +216,9 @@ class HardwareHashTable:
     def __init__(self, config: HashTableConfig | None = None) -> None:
         self.config = config or HashTableConfig()
         self.stats = StatRegistry("hwhash")
-        self._entries = [_HwEntry() for _ in range(self.config.entries)]
+        self._entries: list[_HwEntry | _InvalidEntry] = (
+            [_INVALID] * self.config.entries
+        )
         self.rtt = ReverseTranslationTable(self.config, self.stats)
         self._clock = 0
         self._seq = 0
@@ -283,7 +299,7 @@ class HardwareHashTable:
             self.stats.bump("hwhash.set_bypass")
             idx = self._find(key, base_address)
             if idx is not None:
-                self._entries[idx] = _HwEntry()
+                self._entries[idx] = _INVALID
             self.rtt.note_key(base_address, key)
             return HashOpOutcome(False, cycles=cycles, software_fallback=True)
         if len(key) > self.config.max_key_bytes:
@@ -357,7 +373,7 @@ class HardwareHashTable:
                 if self._entries[victim].dirty:
                     dirty_writebacks += 1
                     self._writeback(victim)
-                self._entries[victim] = _HwEntry()
+                self._entries[victim] = _INVALID
 
         self._seq += 1
         self._entries[target] = _HwEntry(
@@ -394,7 +410,7 @@ class HardwareHashTable:
         for idx in indices:
             entry = self._entries[idx]
             if entry.valid and entry.base_address == base_address:
-                self._entries[idx] = _HwEntry()
+                self._entries[idx] = _INVALID
                 invalidated += 1
         self.rtt.drop_map(base_address)
         self.stats.bump("hwhash.free_invalidated", invalidated)
@@ -414,7 +430,7 @@ class HardwareHashTable:
             if entry.valid and entry.base_address == base_address:
                 if entry.dirty:
                     self._writeback(idx)
-                self._entries[idx] = _HwEntry()
+                self._entries[idx] = _INVALID
                 flushed += 1
         self.rtt.drop_map(base_address)
         return flushed
@@ -456,7 +472,7 @@ class HardwareHashTable:
             if entry.dirty:
                 self._writeback(idx)
                 self.stats.bump("hwhash.fault_dirty_writebacks")
-            self._entries[idx] = _HwEntry()
+            self._entries[idx] = _INVALID
             invalidated += 1
         self.rtt.drop_all()
         self.stats.bump("hwhash.fault_invalidated", invalidated)

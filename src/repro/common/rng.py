@@ -20,6 +20,8 @@ T = TypeVar("T")
 #: Seed used by every benchmark and example unless overridden.
 DEFAULT_SEED = 0x15CA2017  # "ISCA 2017"
 
+_LETTERS = "abcdefghijklmnopqrstuvwxyz"
+
 
 class DeterministicRng:
     """A seeded random source with the samplers used by the workloads.
@@ -34,6 +36,27 @@ class DeterministicRng:
     def __init__(self, seed: int = DEFAULT_SEED) -> None:
         self.seed = seed
         self._random = random.Random(seed)
+        self._bind()
+
+    def _bind(self) -> None:
+        # The hottest samplers, bound once: the same draws without a
+        # wrapper frame per call.
+        #: Uniform float in ``[0, 1)``.
+        self.random = self._random.random
+        #: Uniform integer in ``[lo, hi]`` inclusive.
+        self.randint = self._random.randint
+        #: Uniformly pick one element of a non-empty sequence.
+        self.choice = self._random.choice
+
+    def __getstate__(self) -> dict:
+        # Copies and unpickled instances rebind to their own generator
+        # (deepcopy would share a bound builtin method with the source).
+        return {k: v for k, v in self.__dict__.items()
+                if k not in ("random", "randint", "choice")}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._bind()
 
     def fork(self, label: str) -> "DeterministicRng":
         """Derive an independent, reproducible child stream.
@@ -54,21 +77,9 @@ class DeterministicRng:
 
     # -- thin pass-throughs -------------------------------------------------
 
-    def random(self) -> float:
-        """Uniform float in ``[0, 1)``."""
-        return self._random.random()
-
-    def randint(self, lo: int, hi: int) -> int:
-        """Uniform integer in ``[lo, hi]`` inclusive."""
-        return self._random.randint(lo, hi)
-
     def uniform(self, lo: float, hi: float) -> float:
         """Uniform float in ``[lo, hi]``."""
         return self._random.uniform(lo, hi)
-
-    def choice(self, items: Sequence[T]) -> T:
-        """Uniformly pick one element of a non-empty sequence."""
-        return self._random.choice(items)
 
     def sample(self, items: Sequence[T], k: int) -> list[T]:
         """Pick ``k`` distinct elements."""
@@ -137,6 +148,7 @@ class DeterministicRng:
 
     def ascii_word(self, lo: int = 3, hi: int = 10) -> str:
         """A lowercase pseudo-word; used for keys, attributes, slugs."""
-        length = self._random.randint(lo, hi)
-        letters = "abcdefghijklmnopqrstuvwxyz"
-        return "".join(self._random.choice(letters) for _ in range(length))
+        choice = self._random.choice
+        return "".join([
+            choice(_LETTERS) for _ in range(self._random.randint(lo, hi))
+        ])

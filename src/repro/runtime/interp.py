@@ -24,13 +24,19 @@ through the :class:`~repro.isa.dispatch.AcceleratorComplex` (string
 matching matrix, content-reuse-ready regexps, hardware hash table for
 variable scopes).  Both must render byte-identical pages — integration
 tests assert it.
+
+Each template source is compiled once (:func:`compile_template`) into
+a tuple of per-segment closures, so a render neither tokenizes nor
+parses; the closures evaluate operands left to right, in the order the
+grammar reads them.
 """
 
 from __future__ import annotations
 
+import functools
 import re
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 from repro.common.stats import StatRegistry
 from repro.regex.engine import RegexManager
@@ -253,12 +259,62 @@ class AcceleratedBackend(SoftwareBackend):
 
 
 # ---------------------------------------------------------------------------
-# Expression evaluation
+# Compilation
 # ---------------------------------------------------------------------------
+#
+# A template compiles to a tuple of *steps*, one per segment:
+# ``step(interp, code, i, end)`` runs segment ``i`` of ``code`` and
+# returns the index to run next.  An expression compiles to a closure
+# ``expr(interp)``.  Compiled forms hold only tuples, strings, numbers
+# and closures, so every interpreter shares them and no render can
+# change them.
+#
+# Errors are lazy: a segment or statement that does not tokenize or
+# parse compiles to a step that raises when it runs, so a broken echo
+# tag in an untaken branch is harmless.  A block opener fails on a code
+# island between it and its closer that does not tokenize, because
+# finding the closer reads every such island.
+
+#: Distinct template sources kept compiled (least recently used go).
+TEMPLATE_CACHE_SIZE = 64
+
+Expr = Callable[["MiniPhpInterpreter"], Any]
+Step = Callable[["MiniPhpInterpreter", tuple, int, int], int]
+
+_COMPARISONS = ("==", "!=", "<", ">", "<=", ">=")
+_LITERAL_KEYWORDS = {"true": True, "false": False, "null": None}
 
 
-class _ExprParser:
-    """Recursive-descent evaluator over a token list.
+def _unquote(text: str) -> str:
+    body = text[1:-1]
+    return (
+        body.replace("\\n", "\n").replace("\\t", "\t")
+        .replace("\\'", "'").replace('\\"', '"')
+        .replace("\\\\", "\\")
+    )
+
+
+def _constant(value: Any) -> Expr:
+    return lambda interp: value
+
+
+def _failing(message: str) -> Callable[..., Any]:
+    """A step or expression that raises ``message`` when it runs."""
+    def fail(*_: Any) -> Any:
+        raise MiniPhpError(message)
+    return fail
+
+
+def _lazily(compile_fn: Callable[..., Any], *args: Any) -> Callable[..., Any]:
+    """``compile_fn(*args)``, or a closure raising its error when run."""
+    try:
+        return compile_fn(*args)
+    except MiniPhpError as err:
+        return _failing(str(err))
+
+
+class _ExprCompiler:
+    """Recursive descent from a token list to an expression closure.
 
     Grammar::
 
@@ -267,128 +323,396 @@ class _ExprParser:
         concat  := unit ('.' unit)*
         unit    := literal | var index* | call | '(' expr ')' | array
         index   := '[' expr ']'
+
+    The closure evaluates operands left to right, as the grammar reads
+    them.
     """
 
-    def __init__(self, tokens: list[Token], interp: "MiniPhpInterpreter") -> None:
+    def __init__(self, tokens: Sequence[Token]) -> None:
         self.tokens = tokens
         self.pos = 0
-        self.interp = interp
 
-    def _peek(self) -> Optional[Token]:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def _peek_text(self) -> Optional[str]:
+        if self.pos < len(self.tokens):
+            return self.tokens[self.pos].text
+        return None
 
     def _take(self) -> Token:
-        tok = self._peek()
-        if tok is None:
+        if self.pos >= len(self.tokens):
             raise MiniPhpError("unexpected end of expression")
         self.pos += 1
-        return tok
+        return self.tokens[self.pos - 1]
 
     def _expect(self, text: str) -> None:
         tok = self._take()
         if tok.text != text:
             raise MiniPhpError(f"expected {text!r}, got {tok.text!r}")
 
-    def parse(self) -> Any:
-        value = self._compare()
-        if self._peek() is not None:
-            raise MiniPhpError(f"trailing tokens at {self._peek().text!r}")
-        return value
+    def compile(self) -> Expr:
+        expr = self._compare()
+        if self.pos < len(self.tokens):
+            raise MiniPhpError(
+                f"trailing tokens at {self.tokens[self.pos].text!r}"
+            )
+        return expr
 
-    def _compare(self) -> Any:
+    def _compare(self) -> Expr:
         left = self._concat()
-        tok = self._peek()
-        if tok and tok.text in ("==", "!=", "<", ">", "<=", ">="):
-            op = self._take().text
-            right = self._concat()
-            return {
-                "==": left == right, "!=": left != right,
-                "<": left < right, ">": left > right,
-                "<=": left <= right, ">=": left >= right,
-            }[op]
-        return left
+        op = self._peek_text()
+        if op not in _COMPARISONS:
+            return left
+        self.pos += 1
+        right = self._concat()
+        pick = _COMPARISONS.index(op)
 
-    def _concat(self) -> Any:
-        first = self._unit()
-        parts = None
-        while self._peek() and self._peek().text == ".":
-            self._take()
-            if parts is None:
-                parts = [self.interp.to_string(first)]
-            parts.append(self.interp.to_string(self._unit()))
-        if parts is None:
-            return first
-        return self.interp.backend.concat(parts)
+        def compare(interp: MiniPhpInterpreter) -> bool:
+            a, b = left(interp), right(interp)
+            # All six are evaluated, so a mixed-type pair raises
+            # TypeError whichever operator was written.
+            return (a == b, a != b, a < b, a > b, a <= b, a >= b)[pick]
 
-    def _unit(self) -> Any:
+        return compare
+
+    def _concat(self) -> Expr:
+        units = [self._unit()]
+        while self._peek_text() == ".":
+            self.pos += 1
+            units.append(self._unit())
+        if len(units) == 1:
+            return units[0]
+        parts = tuple(units)
+
+        def concat(interp: MiniPhpInterpreter) -> str:
+            to_string = interp.to_string
+            return interp.backend.concat(
+                [to_string(part(interp)) for part in parts]
+            )
+
+        return concat
+
+    def _unit(self) -> Expr:
         tok = self._take()
         if tok.kind == "number":
-            return int(tok.text)
+            return _constant(int(tok.text))
         if tok.kind == "string":
-            return self._unquote(tok.text)
-        if tok.kind == "kw" and tok.text in ("true", "false", "null"):
-            return {"true": True, "false": False, "null": None}[tok.text]
+            return _constant(_unquote(tok.text))
+        if tok.kind == "kw" and tok.text in _LITERAL_KEYWORDS:
+            return _constant(_LITERAL_KEYWORDS[tok.text])
         if tok.kind == "var":
-            value = self.interp.get_variable(tok.text[1:])
-            return self._maybe_index(value)
+            return self._variable(tok.text[1:])
         if tok.kind == "name" and tok.text == "array":
             return self._array_literal()
         if tok.kind == "name":
             return self._call(tok.text)
         if tok.text == "(":
-            value = self._compare()
+            inner = self._compare()
             self._expect(")")
-            return value
+            return inner
         raise MiniPhpError(f"unexpected token {tok.text!r}")
 
-    def _maybe_index(self, value: Any) -> Any:
-        while self._peek() and self._peek().text == "[":
-            self._take()
-            key = self._compare()
+    def _variable(self, name: str) -> Expr:
+        keys = []
+        while self._peek_text() == "[":
+            self.pos += 1
+            keys.append(self._compare())
             self._expect("]")
-            if not isinstance(value, PhpArray):
-                raise MiniPhpError("indexing a non-array value")
-            value = self.interp.array_get(value, self.interp.to_string(key))
-        return value
+        if not keys:
+            return lambda interp: interp.get_variable(name)
+        index = tuple(keys)
 
-    def _array_literal(self) -> PhpArray:
+        def indexed(interp: MiniPhpInterpreter) -> Any:
+            value = interp.get_variable(name)
+            for key_expr in index:
+                key = key_expr(interp)
+                if not isinstance(value, PhpArray):
+                    raise MiniPhpError("indexing a non-array value")
+                value = interp.array_get(value, interp.to_string(key))
+            return value
+
+        return indexed
+
+    def _array_literal(self) -> Expr:
         self._expect("(")
-        array = self.interp.new_array()
-        index = 0
-        while self._peek() and self._peek().text != ")":
+        elements = []   # (key expr, or None for the next position; value)
+        while self._peek_text() not in (None, ")"):
             first = self._compare()
-            if self._peek() and self._peek().text == "=>":
-                self._take()
-                value = self._compare()
-                self.interp.array_set(
-                    array, self.interp.to_string(first), value
-                )
+            if self._peek_text() == "=>":
+                self.pos += 1
+                elements.append((first, self._compare()))
             else:
-                self.interp.array_set(array, str(index), first)
-                index += 1
-            if self._peek() and self._peek().text == ",":
-                self._take()
+                elements.append((None, first))
+            if self._peek_text() == ",":
+                self.pos += 1
         self._expect(")")
+        items = tuple(elements)
+
+        def array(interp: MiniPhpInterpreter) -> PhpArray:
+            result = interp.new_array()
+            index = 0
+            for key_expr, value_expr in items:
+                if key_expr is None:
+                    interp.array_set(result, str(index), value_expr(interp))
+                    index += 1
+                else:
+                    key = interp.to_string(key_expr(interp))
+                    interp.array_set(result, key, value_expr(interp))
+            return result
+
         return array
 
-    def _call(self, name: str) -> Any:
+    def _call(self, name: str) -> Expr:
         self._expect("(")
-        args: list[Any] = []
-        while self._peek() and self._peek().text != ")":
-            args.append(self._compare())
-            if self._peek() and self._peek().text == ",":
-                self._take()
+        arguments = []
+        while self._peek_text() not in (None, ")"):
+            arguments.append(self._compare())
+            if self._peek_text() == ",":
+                self.pos += 1
         self._expect(")")
-        return self.interp.call_function(name, args)
-
-    @staticmethod
-    def _unquote(text: str) -> str:
-        body = text[1:-1]
-        return (
-            body.replace("\\n", "\n").replace("\\t", "\t")
-            .replace("\\'", "'").replace('\\"', '"')
-            .replace("\\\\", "\\")
+        args = tuple(arguments)
+        return lambda interp: interp.call_function(
+            name, [arg(interp) for arg in args]
         )
+
+
+def _compile_expr(tokens: Sequence[Token]) -> Expr:
+    return _ExprCompiler(tokens).compile()
+
+
+def _compile_echo(body: str) -> Expr:
+    return _compile_expr(tokenize_code(body))
+
+
+def _split_statements(tokens: Sequence[Token]) -> list[list[Token]]:
+    out: list[list[Token]] = []
+    current: list[Token] = []
+    for tok in tokens:
+        if tok.text == ";":
+            if current:
+                out.append(current)
+            current = []
+        else:
+            current.append(tok)
+    if current:
+        out.append(current)
+    return out
+
+
+def _matching_bracket(tokens: Sequence[Token], open_index: int) -> int:
+    depth = 0
+    for j in range(open_index, len(tokens)):
+        if tokens[j].text == "[":
+            depth += 1
+        elif tokens[j].text == "]":
+            depth -= 1
+            if depth == 0:
+                return j
+    raise MiniPhpError("unbalanced [ ]")
+
+
+def _compile_statement(
+    tokens: Sequence[Token],
+) -> Callable[[MiniPhpInterpreter], Any]:
+    head = tokens[0]
+    if head.kind == "kw" and head.text == "echo":
+        return _echo(_compile_expr(tokens[1:]))
+    if head.kind == "var":
+        name = head.text[1:]
+        if (
+            len(tokens) >= 2 and tokens[1].text == "="
+            and (len(tokens) < 3 or tokens[2].text != "=")
+        ):
+            value = _compile_expr(tokens[2:])
+            return lambda interp: interp.set_variable(name, value(interp))
+        if len(tokens) > 2 and tokens[1].text == "[":
+            # $arr['k'] = expr;
+            close = _matching_bracket(tokens, 1)
+            if close + 1 < len(tokens) and tokens[close + 1].text == "=":
+                return _indexed_assignment(
+                    name, _compile_expr(tokens[2:close]),
+                    _compile_expr(tokens[close + 2:]),
+                )
+    # Expression statement (function call for effect).
+    return _compile_expr(tokens)
+
+
+def _indexed_assignment(
+    name: str, key_expr: Expr, value_expr: Expr
+) -> Callable[[MiniPhpInterpreter], None]:
+    def assign(interp: MiniPhpInterpreter) -> None:
+        array = interp.get_variable(name)
+        key = interp.to_string(key_expr(interp))
+        value = value_expr(interp)
+        if not isinstance(array, PhpArray):
+            raise MiniPhpError("indexed assignment on a non-array")
+        interp.array_set(array, key, value)
+    return assign
+
+
+# -- steps -------------------------------------------------------------------
+
+
+def _echo(value: Expr) -> Callable[[MiniPhpInterpreter], None]:
+    return lambda interp: interp.echo(value(interp))
+
+
+def _simple_step(*statements: Callable[[MiniPhpInterpreter], Any]) -> Step:
+    """A step that runs ``statements`` in order and moves on."""
+    def run(interp: MiniPhpInterpreter, code: tuple, i: int,
+            end: int) -> int:
+        for statement in statements:
+            statement(interp)
+        return i + 1
+    return run
+
+
+def _closer(at: int, error: Optional[str], end: int, word: str,
+            opener: str) -> int:
+    """The closer index found at compile time, checked against ``end``."""
+    if at >= end:
+        raise MiniPhpError(f"missing {word} for {opener}")
+    if error is not None:
+        raise MiniPhpError(error)
+    return at
+
+
+def _foreach_step(
+    tokens: Sequence[Token], close_at: int, close_error: Optional[str]
+) -> Step:
+    # foreach ( $arr as $v ):   |   foreach ( $arr as $k => $v ):
+    body = [t for t in tokens[1:] if t.text not in ("(", ")", ":")]
+    if len(body) == 3 and body[1].text == "as":
+        key_name = None
+    elif len(body) == 5 and body[1].text == "as" and body[3].text == "=>":
+        key_name = body[2].text[1:]
+    else:
+        raise MiniPhpError("malformed foreach header")
+    array_name, value_name = body[0].text[1:], body[-1].text[1:]
+
+    def foreach(interp: MiniPhpInterpreter, code: tuple, i: int,
+                end: int) -> int:
+        close = _closer(close_at, close_error, end, "endforeach",
+                        "foreach")
+        array = interp.get_variable(array_name)
+        if not isinstance(array, PhpArray):
+            raise MiniPhpError("foreach over a non-array")
+        for key, value in interp.array_items(array):
+            if key_name is not None:
+                interp.set_variable(key_name, key)
+            interp.set_variable(value_name, value)
+            interp._run_block(code, i + 1, close)
+        return close + 1
+
+    return foreach
+
+
+def _if_step(
+    tokens: Sequence[Token], close_at: int, close_error: Optional[str],
+    else_at: Optional[int],
+) -> Step:
+    condition_tokens = [t for t in tokens[1:] if t.text != ":"]
+    if condition_tokens and condition_tokens[0].text == "(":
+        # strip the outer parens (keep inner structure intact)
+        condition_tokens = condition_tokens[1:]
+        depth = 1
+        for idx, t in enumerate(condition_tokens):
+            if t.text == "(":
+                depth += 1
+            elif t.text == ")":
+                depth -= 1
+                if depth == 0:
+                    condition_tokens = (
+                        condition_tokens[:idx] + condition_tokens[idx + 1:]
+                    )
+                    break
+    condition = _lazily(_compile_expr, condition_tokens)
+
+    def if_(interp: MiniPhpInterpreter, code: tuple, i: int,
+            end: int) -> int:
+        endif = _closer(close_at, close_error, end, "endif", "if")
+        if condition(interp):
+            interp._run_block(code, i + 1, else_at or endif)
+        elif else_at is not None:
+            interp._run_block(code, else_at + 1, endif)
+        return endif + 1
+
+    return if_
+
+
+# -- templates ---------------------------------------------------------------
+
+
+def _keyword(island: tuple[Token, ...] | None) -> Optional[str]:
+    """The keyword a tokenized code island starts with, if any."""
+    if island and island[0].kind == "kw":
+        return island[0].text
+    return None
+
+
+def _find_closer(
+    islands: list, i: int, opener: str, closer: str
+) -> tuple[int, Optional[str], Optional[int]]:
+    """The first, after ``i``, of ``closer`` or an island that fails.
+
+    ``islands`` holds, per segment, a code island's token tuple, its
+    tokenizer error (a string), or None for other segments.  Returns
+    ``(index, error, else_index)``: the index is ``len(islands)`` if
+    neither comes, and ``else_index`` is the first ``else`` at the
+    opener's depth before a matched closer.
+    """
+    depth = 0
+    else_at = None
+    for j in range(i + 1, len(islands)):
+        island = islands[j]
+        if isinstance(island, str):
+            return j, island, None
+        word = _keyword(island)
+        if word == opener:
+            depth += 1
+        elif word == closer:
+            if depth == 0:
+                return j, None, else_at
+            depth -= 1
+        elif word == "else" and depth == 0 and else_at is None:
+            else_at = j
+    return len(islands), None, None
+
+
+def _tokenize_island(body: str) -> tuple[Token, ...] | str:
+    try:
+        return tuple(tokenize_code(body))
+    except MiniPhpError as err:
+        return str(err)
+
+
+@functools.lru_cache(maxsize=TEMPLATE_CACHE_SIZE)
+def compile_template(source: str) -> tuple[Step, ...]:
+    """The steps of ``source``, compiled once per distinct source."""
+    segments = split_template(source)
+    islands = [
+        _tokenize_island(seg.body) if seg.kind == "code" else None
+        for seg in segments
+    ]
+    steps: list[Step] = []
+    for i, (seg, island) in enumerate(zip(segments, islands)):
+        if seg.kind == "literal":
+            step = _simple_step(_echo(_constant(seg.body)))
+        elif seg.kind == "echo":
+            step = _simple_step(_echo(_lazily(_compile_echo, seg.body)))
+        elif isinstance(island, str):
+            step = _failing(island)
+        elif _keyword(island) == "foreach":
+            at, error, _ = _find_closer(islands, i, "foreach", "endforeach")
+            step = _lazily(_foreach_step, island, at, error)
+        elif _keyword(island) == "if":
+            step = _if_step(island, *_find_closer(islands, i, "if", "endif"))
+        else:
+            # Simple statements, ';'-separated inside one island.
+            step = _simple_step(*(
+                _lazily(_compile_statement, statement)
+                for statement in _split_statements(island)
+            ))
+        steps.append(step)
+    return tuple(steps)
 
 
 # ---------------------------------------------------------------------------
@@ -466,32 +790,10 @@ class MiniPhpInterpreter:
 
     def call_function(self, name: str, args: list[Any]) -> Any:
         self.stats.bump("interp.calls")
-        b = self.backend
-        table: dict[str, Callable[..., Any]] = {
-            "strtoupper": lambda s: b.strtoupper(self.to_string(s)),
-            "strtolower": lambda s: b.strtolower(self.to_string(s)),
-            "trim": lambda s: b.trim(self.to_string(s)),
-            "strlen": lambda s: b.strlen(self.to_string(s)),
-            "strpos": lambda h, n: b.strpos(self.to_string(h),
-                                            self.to_string(n)),
-            "str_replace": lambda s, r, subj: b.str_replace(
-                self.to_string(s), self.to_string(r), self.to_string(subj)),
-            "substr": lambda s, start, *rest: b.substr(
-                self.to_string(s), int(start), *(int(r) for r in rest)),
-            "htmlspecialchars": lambda s: b.htmlspecialchars(
-                self.to_string(s)),
-            "preg_match": lambda p, s: b.preg_match(self.to_string(p),
-                                                    self.to_string(s)),
-            "preg_replace": lambda p, r, s: b.preg_replace(
-                self.to_string(p), self.to_string(r), self.to_string(s)),
-            "implode": self._implode,
-            "extract": self._extract,
-            "count": self._count,
-        }
-        fn = table.get(name)
+        fn = _FUNCTIONS.get(name)
         if fn is None:
             raise MiniPhpError(f"unknown function {name}()")
-        return fn(*args)
+        return fn(self, *args)
 
     def _implode(self, glue: Any, array: Any) -> str:
         if not isinstance(array, PhpArray):
@@ -533,193 +835,48 @@ class MiniPhpInterpreter:
             return "Array"
         return str(value)
 
-    def _eval(self, tokens: list[Token]) -> Any:
-        return _ExprParser(tokens, self).parse()
+    def echo(self, value: Any) -> None:
+        """Append ``value``, as a string, to the page being rendered."""
+        self._output.append(self.to_string(value))
 
     def render(self, source: str, variables: dict[str, Any] | None = None) -> str:
         """Render a template to its output string."""
         self._output = []
         for name, value in (variables or {}).items():
             self.set_variable(name, value)
-        segments = split_template(source)
-        self._run_block(segments, 0, len(segments))
+        code = compile_template(source)
+        self._run_block(code, 0, len(code))
         return "".join(self._output)
 
-    def _run_block(self, segments: list[Segment], start: int, end: int) -> None:
+    def _run_block(self, code: tuple[Step, ...], start: int, end: int) -> None:
         i = start
         while i < end:
-            seg = segments[i]
-            if seg.kind == "literal":
-                self._output.append(seg.body)
-                i += 1
-            elif seg.kind == "echo":
-                value = self._eval(tokenize_code(seg.body))
-                self._output.append(self.to_string(value))
-                i += 1
-            else:
-                i = self._run_code(segments, i, end)
+            i = code[i](self, code, i, end)
 
-    def _run_code(self, segments: list[Segment], i: int, end: int) -> int:
-        tokens = tokenize_code(segments[i].body)
-        if not tokens:
-            return i + 1
-        head = tokens[0]
-        if head.kind == "kw" and head.text == "foreach":
-            return self._run_foreach(segments, i, end, tokens)
-        if head.kind == "kw" and head.text == "if":
-            return self._run_if(segments, i, end, tokens)
-        # Simple statements, ';'-separated inside one island.
-        for statement in self._split_statements(tokens):
-            self._run_statement(statement)
-        return i + 1
 
-    @staticmethod
-    def _split_statements(tokens: list[Token]) -> list[list[Token]]:
-        out: list[list[Token]] = []
-        current: list[Token] = []
-        for tok in tokens:
-            if tok.text == ";":
-                if current:
-                    out.append(current)
-                current = []
-            else:
-                current.append(tok)
-        if current:
-            out.append(current)
-        return out
-
-    def _run_statement(self, tokens: list[Token]) -> None:
-        if tokens[0].kind == "kw" and tokens[0].text == "echo":
-            value = self._eval(tokens[1:])
-            self._output.append(self.to_string(value))
-            return
-        if (
-            len(tokens) >= 2 and tokens[0].kind == "var"
-            and tokens[1].text == "="
-            and (len(tokens) < 3 or tokens[2].text != "=")
-        ):
-            value = self._eval(tokens[2:])
-            self.set_variable(tokens[0].text[1:], value)
-            return
-        if (
-            tokens[0].kind == "var" and len(tokens) > 2
-            and tokens[1].text == "["
-        ):
-            # $arr['k'] = expr;
-            close = self._matching_bracket(tokens, 1)
-            if close + 1 < len(tokens) and tokens[close + 1].text == "=":
-                array = self.get_variable(tokens[0].text[1:])
-                key = self.to_string(self._eval(tokens[2:close]))
-                value = self._eval(tokens[close + 2:])
-                if not isinstance(array, PhpArray):
-                    raise MiniPhpError("indexed assignment on a non-array")
-                self.array_set(array, key, value)
-                return
-        # Expression statement (function call for effect).
-        self._eval(tokens)
-
-    @staticmethod
-    def _matching_bracket(tokens: list[Token], open_index: int) -> int:
-        depth = 0
-        for j in range(open_index, len(tokens)):
-            if tokens[j].text == "[":
-                depth += 1
-            elif tokens[j].text == "]":
-                depth -= 1
-                if depth == 0:
-                    return j
-        raise MiniPhpError("unbalanced [ ]")
-
-    # -- control flow ----------------------------------------------------------------------
-
-    def _find_matching(
-        self, segments: list[Segment], start: int, end: int,
-        opener: str, closers: tuple[str, ...],
-    ) -> int:
-        """Index of the matching closer code segment for block syntax."""
-        depth = 0
-        for j in range(start + 1, end):
-            seg = segments[j]
-            if seg.kind != "code":
-                continue
-            tokens = tokenize_code(seg.body)
-            if not tokens or tokens[0].kind != "kw":
-                continue
-            word = tokens[0].text
-            if word == opener:
-                depth += 1
-            elif word in closers:
-                if depth == 0:
-                    return j
-                if word == closers[-1]:  # the true closer unwinds depth
-                    depth -= 1
-        raise MiniPhpError(f"missing {closers[-1]} for {opener}")
-
-    def _run_foreach(
-        self, segments: list[Segment], i: int, end: int, tokens: list[Token]
-    ) -> int:
-        # foreach ( $arr as $v ):   |   foreach ( $arr as $k => $v ):
-        body = [t for t in tokens[1:] if t.text not in ("(", ")", ":")]
-        if len(body) == 3 and body[1].text == "as":
-            array_tok, _, value_tok = body
-            key_name = None
-        elif len(body) == 5 and body[1].text == "as" and body[3].text == "=>":
-            array_tok, _, key_tok, _, value_tok = body
-            key_name = key_tok.text[1:]
-        else:
-            raise MiniPhpError("malformed foreach header")
-        close = self._find_matching(
-            segments, i, end, "foreach", ("endforeach",)
+def _string_call(method: str) -> Callable[..., Any]:
+    """``backend.<method>`` over the string forms of its arguments."""
+    def call(interp: MiniPhpInterpreter, *args: Any) -> Any:
+        return getattr(interp.backend, method)(
+            *[interp.to_string(arg) for arg in args]
         )
-        array = self.get_variable(array_tok.text[1:])
-        if not isinstance(array, PhpArray):
-            raise MiniPhpError("foreach over a non-array")
-        for key, value in self.array_items(array):
-            if key_name is not None:
-                self.set_variable(key_name, key)
-            self.set_variable(value_tok.text[1:], value)
-            self._run_block(segments, i + 1, close)
-        return close + 1
+    return call
 
-    def _run_if(
-        self, segments: list[Segment], i: int, end: int, tokens: list[Token]
-    ) -> int:
-        condition_tokens = [t for t in tokens[1:] if t.text != ":"]
-        if condition_tokens and condition_tokens[0].text == "(":
-            # strip the outer parens (keep inner structure intact)
-            condition_tokens = condition_tokens[1:]
-            depth = 1
-            for idx, t in enumerate(condition_tokens):
-                if t.text == "(":
-                    depth += 1
-                elif t.text == ")":
-                    depth -= 1
-                    if depth == 0:
-                        condition_tokens = (
-                            condition_tokens[:idx]
-                            + condition_tokens[idx + 1:]
-                        )
-                        break
-        endif = self._find_matching(segments, i, end, "if", ("endif",))
-        else_at = None
-        depth = 0
-        for j in range(i + 1, endif):
-            seg = segments[j]
-            if seg.kind != "code":
-                continue
-            toks = tokenize_code(seg.body)
-            if not toks or toks[0].kind != "kw":
-                continue
-            if toks[0].text == "if":
-                depth += 1
-            elif toks[0].text == "endif":
-                depth -= 1
-            elif toks[0].text == "else" and depth == 0:
-                else_at = j
-                break
-        condition = bool(self._eval(condition_tokens))
-        if condition:
-            self._run_block(segments, i + 1, else_at or endif)
-        elif else_at is not None:
-            self._run_block(segments, else_at + 1, endif)
-        return endif + 1
+
+def _substr(interp: MiniPhpInterpreter, s: Any, start: Any, *rest: Any) -> str:
+    return interp.backend.substr(
+        interp.to_string(s), int(start), *(int(r) for r in rest)
+    )
+
+
+#: The library functions, ``fn(interp, *args)``; built once at import.
+_FUNCTIONS: dict[str, Callable[..., Any]] = {
+    **{name: _string_call(name) for name in (
+        "strtoupper", "strtolower", "trim", "strlen", "strpos",
+        "str_replace", "htmlspecialchars", "preg_match", "preg_replace",
+    )},
+    "substr": _substr,
+    "implode": MiniPhpInterpreter._implode,
+    "extract": MiniPhpInterpreter._extract,
+    "count": MiniPhpInterpreter._count,
+}

@@ -268,6 +268,9 @@ class MiniPhpServer:
         self._fill_tasks: set[asyncio.Task] = set()
         self._conn_tasks: set[asyncio.Task] = set()
         self._busy_tasks: set[asyncio.Task] = set()
+        #: handlers closing their socket; stop() waits for, never
+        #: cancels, these
+        self._closing_tasks: set[asyncio.Task] = set()
         self._renders_pending = 0
         self._last_ops: dict = {}
         self._draining = False
@@ -316,7 +319,8 @@ class MiniPhpServer:
         if server is not None:
             server.close()
             await server.wait_closed()
-        idle = [t for t in self._conn_tasks if t not in self._busy_tasks]
+        idle = [t for t in self._conn_tasks
+                if t not in self._busy_tasks and t not in self._closing_tasks]
         for task in idle:
             task.cancel()
         busy = list(self._busy_tasks)
@@ -325,7 +329,7 @@ class MiniPhpServer:
                 _, leftover = await asyncio.wait(
                     busy, timeout=self.config.drain_timeout_s
                 )
-                for task in leftover:
+                for task in leftover - self._closing_tasks:
                     task.cancel()
                     self.stats.bump("serve.drain_cancelled")
             else:
@@ -380,13 +384,22 @@ class MiniPhpServer:
             # connection dies, the server does not.
             self.stats.bump("serve.conn_aborted")
         finally:
-            self._conn_tasks.discard(task)
+            # The handler stays in _conn_tasks until its socket is
+            # closed, so stop() waits for it instead of leaving it to be
+            # cancelled when the event loop shuts down.
             self._busy_tasks.discard(task)
+            self._closing_tasks.add(task)
             writer.close()
             try:
-                await writer.wait_closed()
+                await asyncio.wait_for(writer.wait_closed(),
+                                       self.config.idle_timeout_s)
+            except (asyncio.TimeoutError, TimeoutError):
+                writer.transport.abort()  # the peer stopped reading
             except (ConnectionResetError, BrokenPipeError, OSError):
                 pass
+            finally:
+                self._closing_tasks.discard(task)
+                self._conn_tasks.discard(task)
 
     async def _serve_one(
         self,

@@ -87,38 +87,42 @@ class TextCorpus:
 
     def paragraph(self, spec: ContentSpec) -> str:
         """One paragraph honouring the special-segment density."""
-        rng = self.rng
+        random = self.rng.random
+        word = self.word
+        quote = spec.quote_probability
+        quote_or_tag = quote + spec.tag_probability
         pieces: list[str] = []
         length = 0
         specials_pending = False
         next_special_check = SEGMENT_BYTES
         while len(pieces) < spec.words_per_paragraph:
-            word = self.word()
-            pieces.append(word)
-            length += len(word) + 1
+            piece = word()
+            pieces.append(piece)
+            length += len(piece) + 1
             if length >= next_special_check:
                 next_special_check += SEGMENT_BYTES
-                if rng.random() < spec.special_segment_fraction:
+                if random() < spec.special_segment_fraction:
                     specials_pending = True
             if specials_pending:
                 specials_pending = False
-                roll = rng.random()
-                if roll < spec.quote_probability * 0.5:
-                    pieces.append(f"'{self.word()}'")
-                elif roll < spec.quote_probability:
-                    pieces.append(f'"{self.word()}"')
-                elif roll < spec.quote_probability + spec.tag_probability:
+                roll = random()
+                if roll < quote * 0.5:
+                    pieces.append(f"'{word()}'")
+                elif roll < quote:
+                    pieces.append(f'"{word()}"')
+                elif roll < quote_or_tag:
                     pieces.append(self.html_tag())
                 else:
-                    pieces.append(self.word() + "\n")
+                    pieces.append(word() + "\n")
         # Join with spaces; regular-character punctuation sprinkled in.
         out: list[str] = []
+        last = len(pieces) - 1
         for i, piece in enumerate(pieces):
             out.append(piece)
             if piece.endswith("\n"):
                 continue
-            if i + 1 < len(pieces):
-                out.append(", " if self.rng.random() < 0.08 else " ")
+            if i < last:
+                out.append(", " if random() < 0.08 else " ")
         text = "".join(out)
         return text.rstrip() + "."
 

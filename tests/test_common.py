@@ -85,6 +85,18 @@ class TestDeterministicRng:
             assert 3 <= len(word) <= 8
             assert word.isalpha() and word.islower()
 
+    def test_copies_draw_from_their_own_generator(self):
+        import copy
+        import pickle
+
+        rng = DeterministicRng(3)
+        rng.random()
+        copies = [copy.deepcopy(rng), pickle.loads(pickle.dumps(rng))]
+        expected = [rng.random(), rng.randint(1, 9), rng.choice("abc")]
+        for twin in copies:
+            assert [twin.random(), twin.randint(1, 9),
+                    twin.choice("abc")] == expected
+
     @given(st.integers(min_value=0, max_value=2**32))
     def test_any_seed_works(self, seed):
         rng = DeterministicRng(seed)
@@ -152,6 +164,29 @@ class TestStatRegistry:
         r.bump("b")
         r.bump("a")
         assert [k for k, _ in r] == ["a", "b"]
+
+    def test_counter_handle_and_bump_share_one_value(self):
+        # Simulators keep the handle counter() returns and add to it
+        # directly, so bump must update that same Counter.
+        r = StatRegistry()
+        c = r.counter("x")
+        r.bump("x", 2)
+        c.add(1)
+        assert r.get("x") == 3
+        assert c.value == 3
+
+    def test_bump_creates_the_counter(self):
+        r = StatRegistry()
+        r.bump("fresh", 4)
+        assert r.counter("fresh").value == 4
+        assert r.snapshot() == {"fresh": 4}
+
+    def test_bump_rejects_a_negative_amount(self):
+        r = StatRegistry()
+        r.bump("x", 2)
+        with pytest.raises(ValueError, match="cannot decrease"):
+            r.bump("x", -1)
+        assert r.get("x") == 2
 
 
 class TestHistogram:

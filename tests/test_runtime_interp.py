@@ -5,10 +5,12 @@ from __future__ import annotations
 import pytest
 
 from repro.runtime.interp import (
+    TEMPLATE_CACHE_SIZE,
     AcceleratedBackend,
     MiniPhpError,
     MiniPhpInterpreter,
     SoftwareBackend,
+    compile_template,
     split_template,
     tokenize_code,
 )
@@ -192,6 +194,87 @@ class TestControlFlow:
         with pytest.raises(MiniPhpError):
             render("<?php $a = array(1); ?>"
                    "<?php foreach ($a as $v): ?>x")
+
+
+class TestErrorLaziness:
+    """A template fails when, and only when, its broken part runs."""
+
+    def test_broken_echo_in_an_untaken_branch_is_harmless(self):
+        assert render(
+            "<?php if (false): ?><?= foo( ?><?php endif; ?>ok"
+        ) == "ok"
+
+    def test_bad_character_in_an_untaken_echo_is_harmless(self):
+        assert render(
+            "<?php if (false): ?><?= $x @ 1 ?><?php endif; ?>ok"
+        ) == "ok"
+
+    def test_bad_character_in_an_untaken_code_island_raises(self):
+        # Finding the endif reads every code island before it.
+        with pytest.raises(MiniPhpError, match="bad character"):
+            render("<?php if (false): ?><?php $x = @; ?>"
+                   "<?php endif; ?>ok")
+
+    def test_statements_before_a_broken_one_still_run(self):
+        interp = MiniPhpInterpreter(SoftwareBackend())
+        with pytest.raises(MiniPhpError):
+            interp.render("<?php $a = 'x'; $b = ; ?>")
+        assert interp.get_variable("a") == "x"
+
+    def test_trailing_tokens_raise(self):
+        with pytest.raises(MiniPhpError, match="trailing tokens"):
+            render("<?= 'a' 'b' ?>")
+
+    def test_unterminated_tag_raises(self):
+        with pytest.raises(MiniPhpError, match="unterminated"):
+            render("ok <?= 'x'")
+
+    def test_indexing_a_non_array_raises(self):
+        with pytest.raises(MiniPhpError, match="non-array"):
+            render("<?php $s = 'str'; ?><?= $s['k'] ?>")
+
+    def test_mixed_type_comparison_raises_type_error(self):
+        # All six comparisons are evaluated, whichever one was written.
+        with pytest.raises(TypeError):
+            render("<?= 'a' == 1 ?>")
+
+
+NESTED_TEMPLATE = (
+    "<?php $rows = array('a' => array('1', '2'), 'b' => array('3')); ?>"
+    "<?php foreach ($rows as $k => $items): ?><?= $k ?>:"
+    "<?php if ($k == 'a'): ?>"
+    "<?php foreach ($items as $v): ?>"
+    "<?php if ($v == '1'): ?>one<?php else: ?>[<?= $v ?>]<?php endif; ?>"
+    "<?php endforeach; ?>"
+    "<?php else: ?>other<?php endif; ?>;"
+    "<?php endforeach; ?>"
+)
+
+
+class TestCompiledTemplates:
+    @pytest.mark.parametrize("backend", [SoftwareBackend,
+                                         AcceleratedBackend])
+    def test_nested_foreach_if_else(self, backend):
+        out = render(NESTED_TEMPLATE, backend=backend())
+        assert out == "a:one[2];b:other;"
+
+    def test_cache_holds_at_most_its_bound(self):
+        for i in range(TEMPLATE_CACHE_SIZE + 10):
+            assert render(f"<?= {i} ?>") == str(i)
+        info = compile_template.cache_info()
+        assert info.maxsize == TEMPLATE_CACHE_SIZE
+        assert info.currsize <= TEMPLATE_CACHE_SIZE
+
+    def test_compiled_form_is_shared_and_unchanged_by_renders(self):
+        source = ("<?php $a = array('x'); $a['1'] = $y; ?>"
+                  "<?= count($a) ?>:<?= implode(',', $a) ?>")
+        code = compile_template(source)
+        assert isinstance(code, tuple)
+        # The array literal builds a fresh array on every render, and
+        # variables never leak into the compiled form.
+        assert render(source, {"y": "p"}) == "2:x,p"
+        assert render(source, {"y": "q"}) == "2:x,q"
+        assert compile_template(source) is code
 
 
 BLOG_TEMPLATE = """<article>

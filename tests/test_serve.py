@@ -304,6 +304,43 @@ class TestHttpRobustness:
         assert b"slow wordpress 9" in rest
         assert cancelled == 0
 
+    def test_stop_waits_for_a_handler_that_is_closing(self, monkeypatch):
+        # A handler still closing its socket when stop() returns would
+        # be cancelled by asyncio.run's shutdown, and the stream
+        # callback would then report the CancelledError through the
+        # loop's exception handler.
+        original = asyncio.StreamWriter.wait_closed
+        closing = asyncio.Event()
+
+        async def slow_wait_closed(writer):
+            closing.set()
+            await asyncio.sleep(0.05)
+            return await original(writer)
+
+        monkeypatch.setattr(asyncio.StreamWriter, "wait_closed",
+                            slow_wait_closed)
+        reported = []
+
+        async def scenario():
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: reported.append(context)
+            )
+            server = MiniPhpServer(_config())
+            await server.start()
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port
+            )
+            status, _, _ = await _get_on(reader, writer, "/drupal?seed=2")
+            writer.close()
+            await asyncio.wait_for(closing.wait(), 5.0)
+            await server.stop()
+            return status, asyncio.all_tasks() - {asyncio.current_task()}
+
+        status, pending = _run(scenario())
+        assert status == 200
+        assert pending == set()
+        assert reported == []
+
     def test_served_page_matches_direct_render(self):
         async def scenario():
             server = MiniPhpServer(_config())
