@@ -56,24 +56,12 @@ PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} \
     python -m repro fleet --smoke --requests 2 >/dev/null
 echo "fleet smoke ok"
 
-echo "== perf smoke (per backend) =="
+echo "== perf smoke =="
 # Schema validation only (run_perf validates its payload); speedup
 # floors are asserted by benchmarks/bench_perf.py on real hardware,
-# never here — shared-runner wall-clock ratios are unreliable.  One
-# smoke run per available non-reference backend (`optimized` always;
-# `bulk` when numpy is present), keeping a per-backend report copy
-# for the CI artifact upload.
+# never here — shared-runner wall-clock ratios are unreliable.
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} \
     python -m repro backends
-for backend in $(PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -c \
-    "from repro.accel.registry import measured_backends
-print('\n'.join(measured_backends()))"); do
-    echo "-- perf smoke [$backend] --"
-    PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} \
-        python -m repro perf --smoke --backend "$backend" >/dev/null
-    cp benchmarks/out/perf.txt "benchmarks/out/perf_${backend}.txt"
-done
-# Leave the committed artifacts covering every backend at once.
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} \
     python -m repro perf --smoke >/dev/null
 echo "perf smoke ok"

@@ -297,11 +297,9 @@ def _cmd_sens(args) -> None:
 def _cmd_perf(args) -> None:
     from repro.core.perf import format_perf_report, run_perf
     from repro.core.report import perf_observability_report
-    backend = getattr(args, "backend", None)
     payload = run_perf(
         smoke=bool(getattr(args, "smoke", False)),
         seed=args.seed,
-        backends=(backend,) if backend else None,
     )
     print(format_perf_report(payload))
     print()
@@ -311,15 +309,12 @@ def _cmd_perf(args) -> None:
 def _cmd_backends(args) -> None:
     from repro.accel.registry import available_backends
     from repro.core.report import format_table
-    rows = []
-    for row in available_backends():
-        rows.append([
-            row["name"],
-            "yes" if row["available"] else f"degraded ({row['reason']})",
-            ", ".join(row["kernels"]) or "(optimized fallback)",
-        ])
+    rows = [
+        [row["name"], ", ".join(row["kernels"]) or "(optimized fallback)"]
+        for row in available_backends()
+    ]
     print(format_table(
-        ["backend", "available", "registered kernels"], rows,
+        ["backend", "registered kernels"], rows,
         title="Accelerator backend registry",
     ))
 
@@ -344,13 +339,19 @@ def _cmd_conform(args) -> None:
 
 
 def _cmd_serve(args) -> None:
+    from repro.accel.registry import backend_names
     from repro.core.report import serve_report
     from repro.serve.run import run_serve
+    backend = getattr(args, "backend", None) or "optimized"
+    if backend not in backend_names():
+        print(f"serve: unknown backend {backend!r}; registered: "
+              f"{', '.join(backend_names())}", file=sys.stderr)
+        raise SystemExit(2)
     payload = run_serve(
         bench=bool(getattr(args, "bench", False)),
         smoke=bool(getattr(args, "smoke", False)),
         seed=args.seed,
-        backend=getattr(args, "backend", None) or "optimized",
+        backend=backend,
     )
     print(serve_report(payload))
     print()
@@ -439,8 +440,7 @@ _COMMANDS = {
     "sens": (_cmd_sens, "sensitivity sweeps over accelerator sizing"),
     "perf": (_cmd_perf,
              "wall-clock speedups vs the pinned reference kernels"),
-    "backends": (_cmd_backends,
-                 "list registered accelerator backends + availability"),
+    "backends": (_cmd_backends, "list registered accelerator backends"),
     "conform": (_cmd_conform,
                 "differential oracles + metamorphic fuzzing vs shadows"),
     "serve": (_cmd_serve,
@@ -482,9 +482,8 @@ def main(argv: list[str] | None = None) -> int:
                              "requested without) instead of the "
                              "self-test")
     parser.add_argument("--backend", type=str, default=None,
-                        help="perf: measure only this backend; serve: "
-                             "run the server on this backend's kernels "
-                             "(default: optimized)")
+                        help="serve: run the server on this backend's "
+                             "kernels (default: optimized)")
     parser.add_argument("--telemetry", type=str, default=None,
                         help="calibrate: fit this repro-serve-telemetry/1 "
                              "JSONL instead of the self-consistency "

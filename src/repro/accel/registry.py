@@ -1,34 +1,35 @@
-"""Pluggable accelerator-backend registry.
+"""Accelerator-backend registry.
 
 Every hot kernel the paper models (string scan/membership, hash probe,
-regex DFA stepping, heap management) exists in more than one software
-realization: the pinned seed-era ``reference`` kernels
-(:mod:`repro.accel.reference`), the hand-``optimized`` defaults living
-on the accelerator classes, and bulk/vectorized variants under
-:mod:`repro.accel.backends`.  This module names each patchable kernel
-as a *binding point* — ``(owner class, attribute)`` — and resolves an
-implementation per ``(kernel, backend)`` pair, so the conformance
-oracles, perf harness, fuzzer, and CLI can enumerate backends instead
-of hard-coding module pairs.
+regex DFA stepping, heap management) exists in two software
+realizations: the hand-``optimized`` defaults living on the
+accelerator classes, and the pinned seed-era ``reference`` kernels
+(:mod:`repro.accel.reference`) the perf harness measures them
+against.  This module names each patchable kernel as a *binding
+point* — ``(owner class, attribute)`` — and resolves an implementation
+per ``(kernel, backend)`` pair, so the perf harness, the live server
+and the CLI select kernels by backend name instead of hard-coding
+module pairs.
 
 Key properties:
 
-* **Zero-edit extension.**  A new backend is one module under
-  ``repro.accel.backends/`` that calls :func:`register` at import
-  time; discovery walks the package, so nothing else in the repo
-  needs touching.
 * **Fallback resolution.**  A backend that registers only some
   kernels shares the ``optimized`` implementation for the rest (the
   heap manager, for example, has a single implementation that every
   backend uses).
 * **Nestable patching.**  :func:`backend_mode` swaps every binding
   point process-wide for the duration of a ``with`` block, restoring
-  whatever was active before — nesting ``backend_mode("reference")``
-  inside ``backend_mode("bulk")`` works and unwinds correctly.
+  whatever was active before — nesting ``backend_mode("optimized")``
+  inside ``backend_mode("reference")`` works and unwinds correctly.
 * **Mode hooks.**  A backend may attach context managers entered for
   the duration of its mode; the ``reference`` backend uses one to
   restore the seed repo's cache profile (trace/experiment/pattern
   caches off), exactly what the old ``reference_mode()`` did.
+* **Instrumentation hook.**  :meth:`BackendRegistry.register`
+  accepts any backend name, so the benchmark tracer
+  (``perfbench/tracer.py``) registers span-wrapped copies of the
+  ``optimized`` kernels as one more backend and selects it with
+  :func:`backend_mode`.
 
 Results must be byte-identical across backends on every input; the
 conformance suite and the perf harness both assert that.
@@ -36,11 +37,9 @@ conformance suite and the perf harness both assert that.
 
 from __future__ import annotations
 
-import importlib
-import pkgutil
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Iterator
 
 #: The backend the accelerator classes ship with: the attribute values
 #: captured from the classes themselves at first use.
@@ -69,33 +68,16 @@ class BackendRegistry:
         self._impls: dict[str, dict[str, Callable]] = {}
         #: backend name → context-manager factories entered in-mode
         self._hooks: dict[str, list[Callable[[], Any]]] = {}
-        #: backend name → callable returning why it is unavailable
-        #: (None when it can run at full strength here)
-        self._degraded: dict[str, Callable[[], Optional[str]]] = {}
         self._backends: list[str] = [DEFAULT_BACKEND]
         self._stack: list[str] = []
         self._loaded = False
 
-    # -- registration (import-time API for backend modules) ------------------
+    # -- registration ---------------------------------------------------------
 
-    def register_backend(
-        self,
-        name: str,
-        *,
-        unavailable_reason: Callable[[], Optional[str]] | None = None,
-    ) -> None:
-        """Declare a backend; idempotent.
-
-        ``unavailable_reason`` reports (as a string) why the backend
-        cannot run at full strength in this environment — e.g. a
-        missing optional dependency.  Such a backend stays selectable:
-        its kernels are expected to degrade gracefully to the
-        ``optimized`` implementations per call.
-        """
+    def register_backend(self, name: str) -> None:
+        """Declare a backend; idempotent."""
         if name not in self._backends:
             self._backends.append(name)
-        if unavailable_reason is not None:
-            self._degraded[name] = unavailable_reason
 
     def register(self, kernel: str, backend: str, impl: Callable) -> None:
         """Bind ``impl`` as backend ``backend``'s ``kernel``."""
@@ -119,13 +101,11 @@ class BackendRegistry:
         )
 
     def _ensure_loaded(self) -> None:
-        """Bind the core kernel points, then import every backend.
+        """Bind the core kernel points, then register ``reference``.
 
         Runs once, before any resolution or patching, so the captured
         ``optimized`` implementations are always the unpatched class
-        attributes.  Backend discovery walks
-        ``repro.accel.backends/`` — adding a variant there requires no
-        edits anywhere else.
+        attributes.
         """
         if self._loaded:
             return
@@ -149,13 +129,7 @@ class BackendRegistry:
         self._bind("heap.hmmalloc", HardwareHeapManager, "hmmalloc")
         self._bind("heap.hmfree", HardwareHeapManager, "hmfree")
 
-        import repro.accel.backends as backends_pkg
         import repro.accel.reference  # noqa: F401  registers "reference"
-        for info in sorted(pkgutil.iter_modules(backends_pkg.__path__),
-                           key=lambda m: m.name):
-            importlib.import_module(
-                f"{backends_pkg.__name__}.{info.name}"
-            )
 
     # -- resolution -----------------------------------------------------------
 
@@ -200,40 +174,27 @@ class BackendRegistry:
     def available_backends(self) -> list[dict[str, Any]]:
         """One report row per registered backend.
 
-        Each row: ``{"name", "available", "reason", "kernels"}`` —
-        ``available`` is False when the backend would degrade to the
-        optimized kernels here (e.g. numpy missing), ``reason`` says
-        why, and ``kernels`` lists the binding points the backend
-        registers its own implementation for.
+        Each row: ``{"name", "kernels"}`` — ``kernels`` lists the
+        binding points the backend registers its own implementation
+        for (the rest fall back to ``optimized``).
         """
         self._ensure_loaded()
-        rows: list[dict[str, Any]] = []
-        for name in self._backends:
-            probe = self._degraded.get(name)
-            reason = probe() if probe is not None else None
-            kernels = sorted(
-                kernel for kernel, impls in self._impls.items()
-                if name in impls and kernel in self._points
-            )
-            rows.append({
+        return [
+            {
                 "name": name,
-                "available": reason is None,
-                "reason": reason,
-                "kernels": kernels,
-            })
-        return rows
+                "kernels": sorted(
+                    kernel for kernel, impls in self._impls.items()
+                    if name in impls and kernel in self._points
+                ),
+            }
+            for name in self._backends
+        ]
 
     def measured_backends(self) -> tuple[str, ...]:
-        """Backends the perf harness should time against reference.
-
-        Every registered backend except ``reference`` itself (the
-        baseline), skipping ones that would silently degrade to
-        ``optimized`` here — timing the fallback would report the
-        wrong backend's number.
-        """
+        """Backends timed against ``reference``: all but the baseline."""
         return tuple(
-            row["name"] for row in self.available_backends()
-            if row["name"] != REFERENCE_BACKEND and row["available"]
+            name for name in self.backend_names()
+            if name != REFERENCE_BACKEND
         )
 
     # -- the mode switch ------------------------------------------------------

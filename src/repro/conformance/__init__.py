@@ -35,7 +35,6 @@ from repro.conformance.invariants import (
     run_invariant,
 )
 from repro.conformance.fuzzer import (
-    BASE_DOMAINS,
     DOMAINS,
     ConformanceReport,
     DomainResult,
@@ -44,12 +43,10 @@ from repro.conformance.fuzzer import (
     run_case,
     run_conformance,
     shrink_case,
-    split_domain,
     write_failure_artifacts,
 )
 
 __all__ = [
-    "BASE_DOMAINS",
     "ConformanceFailure",
     "ConformanceReport",
     "DomainResult",
@@ -70,6 +67,5 @@ __all__ = [
     "run_string_oracle",
     "shadow_checksum",
     "shrink_case",
-    "split_domain",
     "write_failure_artifacts",
 ]

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import traceback
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Optional
@@ -38,44 +37,18 @@ from repro.conformance.oracles import (
     run_string_oracle,
 )
 
-#: Fuzzed base domains, one differential oracle each (reuse rides on
-#: the regex stack but has its own script shape, hence its own domain;
+#: Fuzzed domains, one differential oracle each (reuse rides on the
+#: regex stack but has its own script shape, hence its own domain;
 #: checksum pins the process-stable result mixing that DET005 and the
 #: pool-identity invariants rely on; serve pins the live HTTP path's
 #: bytes to the direct interpreter render; calibrate pins the
-#: digital-twin fitters to brute-force shadow fits).
-BASE_DOMAINS: tuple[str, ...] = (
+#: digital-twin fitters to brute-force shadow fits).  A constant, so a
+#: conform run covers the same domains on every machine; each domain
+#: has one corpus file, ``tests/corpus/<domain>.json``.
+DOMAINS: tuple[str, ...] = (
     "hash", "heap", "string", "regex", "reuse", "checksum", "serve",
     "calibrate",
 )
-
-#: Base domains whose oracles exercise registry-swappable kernels;
-#: each grows one ``{base}@{backend}`` variant domain per non-default
-#: backend, so every registered backend is fuzzed against the same
-#: differential oracles with zero edits here.
-_VARIANT_BASES: tuple[str, ...] = ("hash", "string", "regex", "reuse")
-
-
-def split_domain(domain: str) -> tuple[str, Optional[str]]:
-    """``"string@bulk"`` → ``("string", "bulk")``; no suffix → None."""
-    base, sep, backend = domain.partition("@")
-    return base, (backend if sep else None)
-
-
-def _variant_domains() -> tuple[str, ...]:
-    from repro.accel.registry import DEFAULT_BACKEND, REGISTRY
-
-    return tuple(
-        f"{base}@{backend}"
-        for backend in REGISTRY.measured_backends()
-        if backend != DEFAULT_BACKEND
-        for base in _VARIANT_BASES
-    )
-
-
-#: All fuzzed domains: the bases plus one variant per (swappable
-#: domain, available non-default backend) pair.
-DOMAINS: tuple[str, ...] = BASE_DOMAINS + _variant_domains()
 
 #: Cases per domain: smoke keeps ``scripts/check.sh`` fast.
 SMOKE_CASES = 40
@@ -341,14 +314,9 @@ _GENERATORS = {
 
 
 def generate_case(domain: str, rng: DeterministicRng) -> list:
-    """One valid-by-construction JSON-able case for ``domain``.
-
-    Variant domains (``string@bulk``) share their base's grammar: the
-    whole point is replaying identical scripts on another backend.
-    """
-    base, _ = split_domain(domain)
+    """One valid-by-construction JSON-able case for ``domain``."""
     try:
-        gen = _GENERATORS[base]
+        gen = _GENERATORS[domain]
     except KeyError:
         raise ValueError(f"unknown fuzz domain {domain!r}") from None
     return gen(rng)
@@ -357,43 +325,29 @@ def generate_case(domain: str, rng: DeterministicRng) -> list:
 def run_case(domain: str, case: list) -> None:
     """Replay one case through its oracle; raise on any divergence.
 
-    A ``{base}@{backend}`` domain runs the base oracle inside
-    ``backend_mode(backend)`` — the differential check then proves the
-    backend byte-identical to the same pinned shadow model.  Unknown
-    backends raise (a stale corpus file should fail loudly).
-
     Unexpected exceptions (an accelerator crashing on a valid script)
     are conformance failures too, wrapped with their traceback tail.
     """
-    from repro.accel.registry import REGISTRY, backend_mode
-
-    base, backend = split_domain(domain)
-    if backend is not None and backend not in REGISTRY.backend_names():
-        raise ValueError(
-            f"unknown backend in fuzz domain {domain!r}; registered: "
-            + ", ".join(REGISTRY.backend_names())
-        )
     try:
-        with backend_mode(backend) if backend else nullcontext():
-            if base == "hash":
-                run_hash_oracle(case)
-            elif base == "heap":
-                run_heap_oracle(case)
-            elif base == "string":
-                run_string_oracle(case)
-            elif base == "regex":
-                run_regex_oracle(case)
-            elif base == "reuse":
-                pattern, script = case
-                run_reuse_oracle(script, pattern)
-            elif base == "checksum":
-                run_checksum_oracle(case)
-            elif base == "serve":
-                run_serve_oracle(case)
-            elif base == "calibrate":
-                run_calibrate_oracle(case)
-            else:
-                raise ValueError(f"unknown fuzz domain {domain!r}")
+        if domain == "hash":
+            run_hash_oracle(case)
+        elif domain == "heap":
+            run_heap_oracle(case)
+        elif domain == "string":
+            run_string_oracle(case)
+        elif domain == "regex":
+            run_regex_oracle(case)
+        elif domain == "reuse":
+            pattern, script = case
+            run_reuse_oracle(script, pattern)
+        elif domain == "checksum":
+            run_checksum_oracle(case)
+        elif domain == "serve":
+            run_serve_oracle(case)
+        elif domain == "calibrate":
+            run_calibrate_oracle(case)
+        else:
+            raise ValueError(f"unknown fuzz domain {domain!r}")
     except ConformanceFailure:
         raise
     except Exception as exc:  # any oracle crash is a finding, not a bug here
@@ -495,11 +449,10 @@ def shrink_case(domain: str, case: list) -> list:
     """
     if not _still_fails(domain, case):
         return case
-    base, _ = split_domain(domain)
     budget = [SHRINK_BUDGET]
-    if base == "regex":
+    if domain == "regex":
         return _shrink_regex(domain, case, budget)
-    if base == "reuse":
+    if domain == "reuse":
         pattern, script = case
         chunk = max(1, len(script) // 2)
         current = list(script)
@@ -517,7 +470,7 @@ def shrink_case(domain: str, case: list) -> list:
             chunk //= 2
         return [pattern, current]
     current = _shrink_script(domain, case, budget)
-    if base == "string":
+    if domain == "string":
         current = _shrink_strings(domain, current, budget)
     return current
 

@@ -1,9 +1,8 @@
 """Wall-clock performance harness.
 
 Measures real (not simulated) throughput of the hot kernels and the
-end-to-end evaluation, comparing every registered accelerator backend
-(:mod:`repro.accel.registry` — ``optimized``, ``bulk``, ...) against
-the pinned in-repo reference kernels
+end-to-end evaluation, comparing the ``optimized`` accelerator kernels
+against the pinned in-repo reference kernels
 (:mod:`repro.accel.reference`) in the same process on the same
 machine.  Four metrics:
 
@@ -21,10 +20,8 @@ machine.  Four metrics:
 
 The measured backend set comes from
 ``REGISTRY.measured_backends()`` — every registered backend except the
-``reference`` baseline, skipping ones that would silently degrade to
-``optimized`` here (e.g. ``bulk`` without numpy).  Adding a backend
-module under ``repro.accel.backends/`` grows new rows with zero edits
-in this file.
+``reference`` baseline, i.e. ``optimized``.  Metric rows stay keyed by
+backend name (the ``repro-perf/2`` shape).
 
 Equivalence is asserted inline: every comparison first checks that the
 backend and reference paths produce identical outcomes/reports, so a
@@ -32,10 +29,10 @@ speedup can never come from computing something different.
 
 ``run_perf`` writes ``benchmarks/out/perf.txt`` (human table) and
 ``BENCH_perf.json`` at the repo root (machine-readable).  The speedup
-floors (≥2.0× string, ≥1.5× e2e, ≥1.2× hash, ≥2.5× bulk string) are
-asserted by ``benchmarks/bench_perf.py`` and by ``python -m repro
-perf``; the CI smoke run validates the schema only — wall-clock ratios
-on shared runners are load-dependent, so CI never gates on them.
+floors (≥2.0× string, ≥1.5× e2e, ≥1.2× hash) are asserted by
+``benchmarks/bench_perf.py`` and by ``python -m repro perf``; the CI
+smoke run validates the schema only — wall-clock ratios on shared
+runners are load-dependent, so CI never gates on them.
 """
 
 from __future__ import annotations
@@ -70,21 +67,12 @@ E2E_SPEEDUP_MIN = 1.5
 #: guards most of that win (the old 1.0 floor only caught a kernel
 #: running outright slower than the pinned reference).
 HASH_SPEEDUP_MIN = 1.2
-#: The numpy-vectorized string backend must clearly beat the pinned
-#: reference, not merely edge past it.
-BULK_STRING_SPEEDUP_MIN = 2.5
 
 #: ``src/repro/core/perf.py`` → repo root.
 REPO_ROOT = Path(__file__).resolve().parents[3]
 OUT_DIR = REPO_ROOT / "benchmarks" / "out"
 JSON_PATH = REPO_ROOT / "BENCH_perf.json"
 HISTORY_PATH = REPO_ROOT / "BENCH_history.jsonl"
-
-
-def string_floor(backend: str) -> float:
-    """The asserted string-accel floor for one backend."""
-    return BULK_STRING_SPEEDUP_MIN if backend == "bulk" \
-        else STRING_SPEEDUP_MIN
 
 
 def _best_of(fn: Callable[[], Any], repeats: int) -> float:
@@ -107,32 +95,6 @@ def _string_corpus(paragraphs: int) -> list[str]:
     return [base * (3 + (i % 5)) for i in range(paragraphs)]
 
 
-def _measured_backends(
-    backends: tuple[str, ...] | None,
-) -> tuple[str, ...]:
-    """Resolve (and validate) the backend set one run measures."""
-    from repro.accel.registry import REFERENCE_BACKEND, REGISTRY
-
-    if backends is None:
-        return REGISTRY.measured_backends()
-    known = REGISTRY.backend_names()
-    for name in backends:
-        if name == REFERENCE_BACKEND:
-            raise ValueError(
-                "'reference' is the baseline every backend is measured "
-                "against; pick one of: "
-                + ", ".join(REGISTRY.measured_backends())
-            )
-        if name not in known:
-            raise ValueError(
-                f"unknown backend {name!r}; registered: "
-                + ", ".join(known)
-            )
-    if not backends:
-        raise ValueError("no backends to measure")
-    return tuple(backends)
-
-
 def _bench_string(
     smoke: bool, backends: tuple[str, ...]
 ) -> dict[str, Any]:
@@ -144,8 +106,7 @@ def _bench_string(
 
     subjects = _string_corpus(4 if smoke else 24)
     # Four early-match patterns plus one miss: real scanning workloads
-    # include "not found", which exercises the whole-subject regime
-    # the bulk backend batches for.
+    # include "not found", which scans the whole subject.
     patterns = ["author", "lazy dog", "</p>", "unbalanced", "</article>"]
     char_class = CharSet.of("<>&\"'")
     opt = StringAccelerator()
@@ -175,7 +136,7 @@ def _bench_string(
             "bytes_per_sec": scanned / t,
             "speedup": t_ref / t,
         }
-    mirror = rows["optimized" if "optimized" in rows else backends[0]]
+    mirror = rows["optimized"]
     return {
         "bytes_per_sec_reference": scanned / t_ref,
         "backends": rows,
@@ -222,7 +183,7 @@ def _bench_hash(
             "ops_per_sec": n_ops / t,
             "speedup": t_ref / t,
         }
-    mirror = rows["optimized" if "optimized" in rows else backends[0]]
+    mirror = rows["optimized"]
     return {
         "ops_per_sec_reference": n_ops / t_ref,
         "backends": rows,
@@ -297,7 +258,7 @@ def _bench_e2e(
             "speedup": t_ref / t,
             "requests_per_sec": simulated / t,
         }
-    mirror = rows["optimized" if "optimized" in rows else backends[0]]
+    mirror = rows["optimized"]
     return {
         "seconds_reference": t_ref,
         "backends": rows,
@@ -334,23 +295,18 @@ def run_perf(
     smoke: bool = False,
     seed: int = DEFAULT_SEED,
     check_speedups: bool | None = None,
-    backends: tuple[str, ...] | None = None,
 ) -> dict[str, Any]:
     """Run all four benches; returns (and persists) the payload.
 
     ``check_speedups`` defaults to ``not smoke``: the full harness
     asserts the pinned floors, the CI smoke run only validates the
     schema (shared runners make wall-clock ratios unreliable).
-
-    ``backends`` restricts the measured backend set (e.g. the CLI's
-    ``--backend bulk``); the default is every available non-reference
-    backend from the registry.
     """
-    from repro.accel.registry import available_backends
+    from repro.accel.registry import available_backends, measured_backends
 
     if check_speedups is None:
         check_speedups = not smoke
-    backends = _measured_backends(backends)
+    backends = measured_backends()
     payload: dict[str, Any] = {
         "schema": PERF_SCHEMA,
         "smoke": smoke,
@@ -371,7 +327,6 @@ def run_perf(
             "string_speedup_min": STRING_SPEEDUP_MIN,
             "e2e_speedup_min": E2E_SPEEDUP_MIN,
             "hash_speedup_min": HASH_SPEEDUP_MIN,
-            "bulk_string_speedup_min": BULK_STRING_SPEEDUP_MIN,
             "asserted": check_speedups,
         },
     }
@@ -383,10 +338,9 @@ def run_perf(
             hash_speedup = m["hash_table"]["backends"][name]["speedup"]
             e2e_speedup = \
                 m["e2e_full_evaluation"]["backends"][name]["speedup"]
-            floor = string_floor(name)
-            assert string_speedup >= floor, (
+            assert string_speedup >= STRING_SPEEDUP_MIN, (
                 f"string-accel [{name}] speedup {string_speedup:.2f}x "
-                f"below the {floor}x floor"
+                f"below the {STRING_SPEEDUP_MIN}x floor"
             )
             assert hash_speedup >= HASH_SPEEDUP_MIN, (
                 f"hash-table [{name}] speedup {hash_speedup:.2f}x below "
@@ -402,7 +356,7 @@ def run_perf(
 
 
 def history_row(
-    payload: dict[str, Any], backend: str | None = None
+    payload: dict[str, Any], backend: str = "optimized"
 ) -> dict[str, Any]:
     """Condense one perf payload into an append-only trajectory row.
 
@@ -411,12 +365,6 @@ def history_row(
     stays small enough to diff at PR time.
     """
     m = payload["metrics"]
-    measured = payload.get(
-        "measured_backends",
-        list(m["string_accel"]["backends"]),
-    )
-    if backend is None:
-        backend = "optimized" if "optimized" in measured else measured[0]
     return {
         "schema": HISTORY_SCHEMA,
         "recorded_utc": time.strftime(

@@ -67,3 +67,12 @@ class TestCli:
     def test_unknown_command_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["make-coffee"])
+
+    def test_serve_unknown_backend_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--backend", "bulk"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == (
+            "serve: unknown backend 'bulk'; registered: optimized, "
+            "reference\n"
+        )

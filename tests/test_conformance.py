@@ -22,7 +22,6 @@ from repro.accel.hash_table import HardwareHashTable, HashOpOutcome
 from repro.accel.string_accel import StringAccelerator
 from repro.common.rng import DeterministicRng
 from repro.conformance import (
-    BASE_DOMAINS,
     DOMAINS,
     ConformanceFailure,
     fuzz_domain,
@@ -31,7 +30,6 @@ from repro.conformance import (
     run_conformance,
     run_invariant,
     shrink_case,
-    split_domain,
     write_failure_artifacts,
 )
 from repro.conformance.invariants import INVARIANTS
@@ -54,19 +52,17 @@ def _corpus_cases() -> list:
 
 class TestCorpusReplay:
     def test_corpus_exists_for_every_base_domain(self):
-        """Every base domain has a corpus; variant corpora (e.g.
-        ``string@bulk``) must name a registered backend so replay
-        fails loudly on a stale file.  Variant files are kept even on
-        machines where the backend degrades (replay still proves the
-        fallback path byte-identical)."""
-        from repro.accel.registry import REGISTRY
+        """Exactly one corpus file per fuzzed domain, named after it.
 
-        found = {p.stem for p in CORPUS_DIR.glob("*.json")}
-        assert found >= set(BASE_DOMAINS)
-        for stem in found:
-            base, backend = split_domain(stem)
-            assert base in BASE_DOMAINS
-            assert backend is None or backend in REGISTRY.backend_names()
+        A file whose stem is not a domain, or whose payload names a
+        different domain than its stem, would replay under the wrong
+        name (or not at all) without anyone noticing.
+        """
+        paths = sorted(CORPUS_DIR.glob("*.json"))
+        assert sorted(p.stem for p in paths) == sorted(DOMAINS)
+        for path in paths:
+            payload = json.loads(path.read_text())
+            assert payload["domain"] == path.stem, path.name
 
     @pytest.mark.parametrize("domain,case", _corpus_cases())
     def test_corpus_case_passes(self, domain, case):

@@ -1,27 +1,20 @@
-"""The accelerator backend registry and the ``bulk`` backend.
+"""The accelerator backend registry.
 
-Three layers:
-
-* registry semantics — resolution by ``(kernel, backend)`` name with
-  fallback to ``optimized``, unknown-name errors, nestable
-  ``backend_mode`` patching with exact restore, and the availability
-  report the CLI renders;
-* graceful degradation — with numpy absent the ``bulk`` backend stays
-  selectable, every kernel delegates to the optimized implementation,
-  and the perf harness stops measuring it;
-* byte-identity — ≥1000 seeded cases per kernel comparing the bulk
-  backend against the pinned reference kernels, including the empty /
-  all-matching / 63- / 64- / 65-byte block edges the vector batching
-  must not mis-charge.
+Registry semantics over the two registered backends — the
+``optimized`` kernels the accelerator classes ship with and the pinned
+``reference`` baseline: resolution by ``(kernel, backend)`` name with
+fallback to ``optimized``, unknown-name errors, nestable
+``backend_mode`` patching with exact restore, and the backend report
+the CLI renders.  Byte-identity of ``optimized`` against ``reference``
+is covered by the ≥1000-case tests in ``tests/test_perf_kernels.py``.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.accel.hash_table import HardwareHashTable
 from repro.accel.heap_manager import HardwareHeapManager
-from repro.accel.string_accel import StringAccelerator
+from repro.accel.reference import ReferenceStringAccelerator
 from repro.accel.registry import (
     DEFAULT_BACKEND,
     REFERENCE_BACKEND,
@@ -32,56 +25,25 @@ from repro.accel.registry import (
     current_backend,
     measured_backends,
 )
-from repro.common.rng import DeterministicRng
-from repro.regex.charset import CharSet
-from repro.regex.engine import CompiledRegex
-from repro.runtime.strings import HTML_ESCAPES
+from repro.accel.string_accel import StringAccelerator
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None
-
-CASES_PER_KERNEL = 1_000
-
-#: Subject alphabet: heavy on HTML metacharacters and repeats so the
-#: candidate masks see hits, misses, and dense all-matching runs.
-ALPHABET = "abcdexyz <>&\"'0123456789/p"
-
-
-def _subject(rng: DeterministicRng, length: int) -> str:
-    if length and rng.random() < 0.06:
-        # Occasional non-latin-1 subject: must take the delegate path.
-        chars = [chr(rng.randint(32, 0x2028)) for _ in range(length)]
-        return "".join(chars)
-    return "".join(rng.choice(ALPHABET) for _ in range(length))
-
-
-def _lengths(rng: DeterministicRng, count: int) -> list[int]:
-    """Case lengths with every block edge pinned in."""
-    edges = [0, 1, 62, 63, 64, 65, 127, 128, 129]
-    out = list(edges)
-    while len(out) < count:
-        out.append(rng.randint(0, 200))
-    return out[:count]
+#: ``StringAccelerator.find`` as each backend binds it.
+OPTIMIZED_FIND = StringAccelerator.__dict__["find"]
+REFERENCE_FIND = ReferenceStringAccelerator.__dict__["find"]
 
 
 class TestResolution:
     def test_resolution_by_name(self):
-        impl = REGISTRY.resolve("string.find", "bulk")
-        from repro.accel.backends.bulk import bulk_find
-        assert impl is bulk_find
         assert REGISTRY.resolve("string.find", DEFAULT_BACKEND) \
-            is StringAccelerator.__dict__["find"]
-        from repro.accel.reference import ReferenceStringAccelerator
+            is OPTIMIZED_FIND
         assert REGISTRY.resolve("string.find", REFERENCE_BACKEND) \
-            is ReferenceStringAccelerator.__dict__["find"]
+            is REFERENCE_FIND
 
     def test_unregistered_kernel_falls_back_to_optimized(self):
-        # bulk registers no heap kernels: the single heap manager
+        # reference registers no heap kernels: the single heap manager
         # implementation is shared by every backend.
-        for kernel in ("heap.hmmalloc", "heap.hmfree", "regex.resume"):
-            assert REGISTRY.resolve(kernel, "bulk") \
+        for kernel in ("heap.hmmalloc", "heap.hmfree"):
+            assert REGISTRY.resolve(kernel, REFERENCE_BACKEND) \
                 is REGISTRY.resolve(kernel, DEFAULT_BACKEND)
 
     def test_unknown_backend_rejected(self):
@@ -93,7 +55,7 @@ class TestResolution:
 
     def test_unknown_kernel_rejected(self):
         with pytest.raises(ValueError, match="unknown kernel"):
-            REGISTRY.resolve("string.reverse", "bulk")
+            REGISTRY.resolve("string.reverse", REFERENCE_BACKEND)
 
     def test_every_core_kernel_is_bound(self):
         assert set(REGISTRY.kernel_names()) >= {
@@ -104,41 +66,33 @@ class TestResolution:
         }
 
     def test_registered_backends(self):
-        names = backend_names()
-        assert names[0] == DEFAULT_BACKEND
-        assert REFERENCE_BACKEND in names
-        assert "bulk" in names
+        assert backend_names() == ("optimized", "reference")
 
 
 class TestBackendMode:
     def test_patches_and_restores(self):
-        from repro.accel.backends.bulk import bulk_find
-        original = StringAccelerator.__dict__["find"]
-        with backend_mode("bulk"):
-            assert StringAccelerator.__dict__["find"] is bulk_find
-            assert current_backend() == "bulk"
-        assert StringAccelerator.__dict__["find"] is original
+        with backend_mode(REFERENCE_BACKEND):
+            assert StringAccelerator.__dict__["find"] is REFERENCE_FIND
+            assert current_backend() == REFERENCE_BACKEND
+        assert StringAccelerator.__dict__["find"] is OPTIMIZED_FIND
         assert current_backend() == DEFAULT_BACKEND
 
     def test_nesting_restores_each_level(self):
-        from repro.accel.backends.bulk import bulk_find
-        from repro.accel.reference import ReferenceStringAccelerator
-        original = StringAccelerator.__dict__["find"]
-        with backend_mode("bulk"):
-            with backend_mode(REFERENCE_BACKEND):
+        with backend_mode(REFERENCE_BACKEND):
+            with backend_mode(DEFAULT_BACKEND):
                 assert StringAccelerator.__dict__["find"] \
-                    is ReferenceStringAccelerator.__dict__["find"]
-                assert current_backend() == REFERENCE_BACKEND
-            assert StringAccelerator.__dict__["find"] is bulk_find
-            assert current_backend() == "bulk"
-        assert StringAccelerator.__dict__["find"] is original
+                    is OPTIMIZED_FIND
+                assert current_backend() == DEFAULT_BACKEND
+            assert StringAccelerator.__dict__["find"] is REFERENCE_FIND
+            assert current_backend() == REFERENCE_BACKEND
+        assert StringAccelerator.__dict__["find"] is OPTIMIZED_FIND
+        assert current_backend() == DEFAULT_BACKEND
 
     def test_exception_still_restores(self):
-        original = StringAccelerator.__dict__["find"]
         with pytest.raises(RuntimeError, match="boom"):
-            with backend_mode("bulk"):
+            with backend_mode(REFERENCE_BACKEND):
                 raise RuntimeError("boom")
-        assert StringAccelerator.__dict__["find"] is original
+        assert StringAccelerator.__dict__["find"] is OPTIMIZED_FIND
         assert current_backend() == DEFAULT_BACKEND
 
     def test_reference_mode_alias_subsumed(self):
@@ -170,260 +124,13 @@ class TestAvailabilityReport:
     def test_report_shape(self):
         rows = available_backends()
         by_name = {row["name"]: row for row in rows}
-        assert set(by_name) >= {DEFAULT_BACKEND, REFERENCE_BACKEND, "bulk"}
+        assert set(by_name) == {DEFAULT_BACKEND, REFERENCE_BACKEND}
         for row in rows:
-            assert set(row) == {"name", "available", "reason", "kernels"}
-            assert isinstance(row["available"], bool)
-            assert row["available"] == (row["reason"] is None)
+            assert set(row) == {"name", "kernels"}
             assert isinstance(row["kernels"], list)
-        assert by_name[DEFAULT_BACKEND]["available"]
-        assert by_name[REFERENCE_BACKEND]["available"]
-        assert "string.find" in by_name["bulk"]["kernels"]
-        assert "heap.hmmalloc" not in by_name["bulk"]["kernels"]
+        assert "string.find" in by_name[REFERENCE_BACKEND]["kernels"]
+        assert "heap.hmmalloc" not in by_name[REFERENCE_BACKEND]["kernels"]
+        assert "heap.hmmalloc" in by_name[DEFAULT_BACKEND]["kernels"]
 
     def test_measured_backends_exclude_reference(self):
-        measured = measured_backends()
-        assert REFERENCE_BACKEND not in measured
-        assert DEFAULT_BACKEND in measured
-
-    @pytest.mark.skipif(np is None, reason="numpy not installed")
-    def test_bulk_measured_when_numpy_present(self):
-        assert "bulk" in measured_backends()
-
-
-class TestNoNumpyFallback:
-    """``bulk`` with numpy gone: selectable, degraded, still correct."""
-
-    @pytest.fixture
-    def no_numpy(self, monkeypatch):
-        import repro.accel.backends.bulk as bulk_mod
-        monkeypatch.setattr(bulk_mod, "np", None)
-
-    def test_reported_unavailable(self, no_numpy):
-        rows = {row["name"]: row for row in available_backends()}
-        assert rows["bulk"]["available"] is False
-        assert "numpy" in rows["bulk"]["reason"]
-        assert "bulk" not in measured_backends()
-
-    def test_kernels_degrade_to_optimized_results(self, no_numpy):
-        accel = StringAccelerator()
-        subject = '<p>the "lazy" dog &amp; friends</p>' * 4
-        baseline = repr([
-            accel.find(subject, "lazy"),
-            accel.find(subject, "</article>"),
-            accel.html_escape(subject, HTML_ESCAPES),
-            accel.char_class_bitmap(subject, CharSet.of("<>&"), 32),
-            accel.compare(subject, subject[:-1] + "!"),
-        ])
-        with backend_mode("bulk"):
-            degraded = repr([
-                accel.find(subject, "lazy"),
-                accel.find(subject, "</article>"),
-                accel.html_escape(subject, HTML_ESCAPES),
-                accel.char_class_bitmap(subject, CharSet.of("<>&"), 32),
-                accel.compare(subject, subject[:-1] + "!"),
-            ])
-        assert degraded == baseline
-
-    def test_hash_and_regex_degrade(self, no_numpy):
-        def drive() -> list:
-            table = HardwareHashTable()
-            out = [table.insert_clean("k", 0x1000, 1),
-                   table.get("k", 0x1000)]
-            rx = CompiledRegex("<[a-z]+")
-            out.append(rx.search("see <div> here"))
-            return out
-
-        baseline = repr(drive())
-        with backend_mode("bulk"):
-            assert repr(drive()) == baseline
-
-
-def _drive_all(cases, drive) -> list[str]:
-    return [drive(*case) for case in cases]
-
-
-def _identity(cases, drive):
-    """repr-compare one kernel's outcomes: bulk vs reference."""
-    with backend_mode(REFERENCE_BACKEND):
-        expected = _drive_all(cases, drive)
-    with backend_mode("bulk"):
-        actual = _drive_all(cases, drive)
-    mismatches = [
-        (case, exp, act)
-        for case, exp, act in zip(cases, expected, actual)
-        if exp != act
-    ]
-    assert not mismatches, (
-        f"{len(mismatches)} divergence(s); first: {mismatches[0]}"
-    )
-
-
-@pytest.mark.skipif(np is None, reason="numpy not installed")
-class TestBulkByteIdentity:
-    """≥1000 seeded cases per kernel: bulk == reference, exactly.
-
-    ``repr`` comparison covers the value *and* the cycle / block /
-    bytes-processed charges, so a speedup can never come from charging
-    differently.
-    """
-
-    def test_find(self):
-        rng = DeterministicRng(0xB011).fork("identity/find")
-        cases = []
-        for length in _lengths(rng, CASES_PER_KERNEL):
-            subject = _subject(rng, length)
-            kind = rng.random()
-            if kind < 0.25 and length >= 2:
-                # Matching pattern: a slice of the subject itself.
-                lo = rng.randint(0, length - 2)
-                hi = min(length, lo + rng.randint(1, 8))
-                pattern = subject[lo:hi]
-            elif kind < 0.4 and length >= 1:
-                # All-matching: one repeated character.
-                ch = subject[rng.randint(0, length - 1)]
-                subject = ch * length
-                pattern = ch * rng.randint(1, min(4, length))
-            else:
-                pattern = "".join(
-                    rng.choice(ALPHABET)
-                    for _ in range(rng.randint(1, 8))
-                )
-            start = rng.choice([0, 0, 0, 1, 62, 63, 64, 65,
-                                max(0, length - 1)])
-            cases.append((subject, pattern, start))
-        accel = StringAccelerator()
-        _identity(
-            cases,
-            lambda s, p, st: repr(accel.find(s, p, st)),
-        )
-
-    def test_compare(self):
-        rng = DeterministicRng(0xB011).fork("identity/compare")
-        cases = []
-        for length in _lengths(rng, CASES_PER_KERNEL):
-            a = _subject(rng, length)
-            kind = rng.random()
-            if kind < 0.3:
-                b = a  # equal
-            elif kind < 0.6 and length:
-                # diverge at a seeded position (incl. block edges)
-                pos = rng.choice(
-                    [0, length - 1, min(62, length - 1),
-                     min(64, length - 1), rng.randint(0, length - 1)]
-                )
-                b = a[:pos] + chr(ord(a[pos]) ^ 1) + a[pos + 1:]
-            else:
-                b = _subject(rng, rng.randint(0, 200))
-            cases.append((a, b))
-        accel = StringAccelerator()
-        _identity(cases, lambda a, b: repr(accel.compare(a, b)))
-
-    def test_html_escape(self):
-        rng = DeterministicRng(0xB011).fork("identity/escape")
-        clean = "abcdexyz 0123456789"
-        cases = []
-        for length in _lengths(rng, CASES_PER_KERNEL):
-            if rng.random() < 0.4:
-                # Clean subject: the gate must skip the escape pass
-                # and still charge identically.
-                subject = "".join(
-                    rng.choice(clean) for _ in range(length)
-                )
-            else:
-                subject = _subject(rng, length)
-            cases.append((subject,))
-        accel = StringAccelerator()
-        _identity(
-            cases,
-            lambda s: repr(accel.html_escape(s, HTML_ESCAPES)),
-        )
-
-    def test_char_class_bitmap(self):
-        rng = DeterministicRng(0xB011).fork("identity/charclass")
-        classes = [CharSet.of("<>&\"'"), CharSet.of("0123456789"),
-                   CharSet.of(" "), CharSet.of("abcdexyz")]
-        cases = []
-        for length in _lengths(rng, CASES_PER_KERNEL):
-            cases.append((
-                _subject(rng, length),
-                rng.choice(classes),
-                rng.choice([1, 7, 32, 64]),
-            ))
-        accel = StringAccelerator()
-        _identity(
-            cases,
-            lambda s, c, seg: repr(accel.char_class_bitmap(s, c, seg)),
-        )
-
-    def test_hash_probe(self):
-        rng = DeterministicRng(0xB011).fork("identity/hash")
-        ops = []
-        for i in range(CASES_PER_KERNEL):
-            if rng.random() < 0.08:
-                key = "k€" + rng.ascii_word()  # wide-char fold
-            else:
-                key = rng.ascii_word(1, 14)
-            base = 0x1000 + rng.randint(0, 6) * 0x200
-            ops.append((i % 3, key, base, i))
-
-        def drive() -> list[str]:
-            table = HardwareHashTable()
-            out = []
-            for kind, key, base, i in ops:
-                if kind == 0:
-                    out.append(repr(table.insert_clean(key, base, i)))
-                elif kind == 1:
-                    out.append(repr(table.get(key, base)))
-                else:
-                    out.append(repr(table.set(key, base, i)))
-            return out
-
-        with backend_mode(REFERENCE_BACKEND):
-            expected = drive()
-        with backend_mode("bulk"):
-            assert drive() == expected
-
-    def test_hash_probe_long_keys_vector_fold(self):
-        # get/set cap keys at config.max_key_bytes (24), below the
-        # vector-fold threshold — drive the probe window directly so
-        # the np.frombuffer regrouping itself is identity-checked.
-        rng = DeterministicRng(0xB011).fork("identity/hash-long")
-        keys = []
-        for _ in range(CASES_PER_KERNEL):
-            length = rng.randint(32, 96)
-            if rng.random() < 0.1:
-                keys.append("€" * length)
-            else:
-                keys.append(
-                    "".join(rng.choice(ALPHABET)
-                            for _ in range(length))
-                )
-
-        def drive() -> list:
-            table = HardwareHashTable()
-            return [tuple(table._probe_window(key, 0x1000 + 0x200 * i))
-                    for i, key in enumerate(keys)]
-
-        with backend_mode(REFERENCE_BACKEND):
-            expected = drive()
-        with backend_mode("bulk"):
-            assert drive() == expected
-
-    def test_regex_search_and_state_after(self):
-        rng = DeterministicRng(0xB011).fork("identity/regex")
-        patterns = ["<[a-z]+", "[0-9]{2,4}", "(?i)lazy", "a[^b]c",
-                    "x+y"]
-        cases = []
-        for length in _lengths(rng, CASES_PER_KERNEL):
-            text = _subject(rng, length)
-            cases.append((rng.choice(patterns), text,
-                          rng.choice([0, 0, 1, 63, 64, 65])))
-
-        def drive(pattern, text, start) -> str:
-            rx = CompiledRegex(pattern)
-            out = rx.search(text, start)
-            state = rx.state_after(text, start)
-            return repr((out, state))
-
-        _identity(cases, drive)
+        assert measured_backends() == ("optimized",)
