@@ -12,7 +12,7 @@ from __future__ import annotations
 from conftest import EVAL_REQUESTS
 
 from repro.core.experiment import regex_opportunity
-from repro.core.report import format_table, pct
+from repro.core.report import figure12_report
 
 
 def bench_fig12_opportunity(benchmark, report_sink):
@@ -20,13 +20,6 @@ def bench_fig12_opportunity(benchmark, report_sink):
         lambda: regex_opportunity(requests=EVAL_REQUESTS),
         rounds=1, iterations=1,
     )
-    report_sink(
-        "fig12_regex_opportunity",
-        format_table(
-            ["app", "content skippable (sifting + reuse)"],
-            [[app, pct(frac)] for app, frac in opportunity.items()],
-            title="Figure 12: regexp content-filtering opportunity",
-        ),
-    )
+    report_sink("fig12_regex_opportunity", figure12_report(opportunity))
     for app, frac in opportunity.items():
         assert 0.15 <= frac <= 0.85, app

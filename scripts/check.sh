@@ -51,6 +51,16 @@ echo "repro lint clean"
 echo "== tier-1 tests =="
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -x -q
 
+echo "== figure replay =="
+# The paper tables regenerate byte for byte from the CLI's defaults:
+# a changed draw, checksum or examined-character count fails here.
+for pair in fig12:fig12_regex_opportunity fig14:fig14_speedup \
+            fig15:fig15_benefit_breakdown energy:energy_savings; do
+    PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} \
+        python -m repro "${pair%%:*}" | diff - "benchmarks/out/${pair#*:}.txt"
+done
+echo "figure replay ok"
+
 echo "== fleet smoke =="
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} \
     python -m repro fleet --smoke --requests 2 >/dev/null

@@ -86,14 +86,9 @@ def _cmd_fig7(args) -> None:
 
 
 def _cmd_fig12(args) -> None:
-    from repro.core.experiment import regex_opportunity
-    from repro.core.report import format_table, pct
-    opp = regex_opportunity(seed=args.seed, requests=args.requests)
-    print(format_table(
-        ["app", "skippable content"],
-        [[app, pct(v)] for app, v in opp.items()],
-        title="Figure 12: content sifting + reuse opportunity",
-    ))
+    from repro.core import figure12_report, regex_opportunity
+    print(figure12_report(regex_opportunity(seed=args.seed,
+                                            requests=args.requests)))
 
 
 def _cmd_area(args) -> None:

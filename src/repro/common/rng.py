@@ -22,6 +22,16 @@ DEFAULT_SEED = 0x15CA2017  # "ISCA 2017"
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
+# ``choice(_LETTERS)`` draws ``getrandbits(5)``, the top five bits of
+# one 32-bit Mersenne Twister word, and redraws while they are >= 26.
+# Indexed by a word's most significant byte: the letter an accepted
+# draw picks.  The bytes of rejected draws are deleted instead.
+_LETTER_OF_TOP_BYTE = bytes(
+    ord(_LETTERS[b >> 3]) if b >> 3 < len(_LETTERS) else 0
+    for b in range(256)
+)
+_REJECTED_TOP_BYTES = bytes(range(len(_LETTERS) << 3, 256))
+
 
 class DeterministicRng:
     """A seeded random source with the samplers used by the workloads.
@@ -47,12 +57,14 @@ class DeterministicRng:
         self.randint = self._random.randint
         #: Uniformly pick one element of a non-empty sequence.
         self.choice = self._random.choice
+        #: Non-negative integer of ``k`` random bits.
+        self.getrandbits = self._random.getrandbits
 
     def __getstate__(self) -> dict:
         # Copies and unpickled instances rebind to their own generator
         # (deepcopy would share a bound builtin method with the source).
         return {k: v for k, v in self.__dict__.items()
-                if k not in ("random", "randint", "choice")}
+                if k not in ("random", "randint", "choice", "getrandbits")}
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
@@ -147,8 +159,30 @@ class DeterministicRng:
         return self._random.randbytes(n)
 
     def ascii_word(self, lo: int = 3, hi: int = 10) -> str:
-        """A lowercase pseudo-word; used for keys, attributes, slugs."""
-        choice = self._random.choice
-        return "".join([
-            choice(_LETTERS) for _ in range(self._random.randint(lo, hi))
-        ])
+        """A lowercase pseudo-word; used for keys, attributes, slugs.
+
+        Draws exactly what ``"".join(choice(_LETTERS) for _ in
+        range(randint(lo, hi)))`` draws.  The length is CPython's
+        rejection sampler (``_randbelow``) inlined over ``getrandbits``.
+        The letters come in rounds: a round still needing ``need``
+        letters takes ``need`` whole words in one ``getrandbits(32 *
+        need)`` call, keeps the accepted ones in order and draws again
+        only for the rejected ones, so it never takes a word the
+        letter-at-a-time loop would not.
+        """
+        getrandbits = self.getrandbits
+        width = hi - lo + 1
+        if width <= 0:
+            raise ValueError(f"empty word-length range [{lo}, {hi}]")
+        bits = width.bit_length()
+        r = getrandbits(bits)
+        while r >= width:
+            r = getrandbits(bits)
+        need = lo + r
+        word = b""
+        while need > 0:
+            top = getrandbits(32 * need).to_bytes(4 * need, "little")[3::4]
+            letters = top.translate(_LETTER_OF_TOP_BYTE, _REJECTED_TOP_BYTES)
+            word += letters
+            need -= len(letters)
+        return word.decode("ascii")

@@ -55,6 +55,7 @@ from repro.core.parallel import parallel_map, resolve_jobs
 from repro.core.perf import run_perf, validate_perf_payload
 from repro.core.report import (
     energy_report,
+    figure12_report,
     figure14_report,
     figure15_report,
     format_table,
@@ -79,7 +80,8 @@ __all__ = [
     "leaf_distribution", "uarch_characterization", "mitigation_effect",
     "categorization", "post_mitigation_breakdown", "hash_hit_rate_sweep",
     "allocation_profile", "regex_opportunity",
-    "figure14_report", "figure15_report", "energy_report",
+    "figure12_report", "figure14_report", "figure15_report",
+    "energy_report",
     "resilience_report", "format_table", "pct",
     "EXPERIMENT_CACHE", "ExperimentCache", "cache_key",
     "parallel_map", "resolve_jobs",

@@ -25,7 +25,7 @@ _FNV64_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
 
 
-def stable_hash(value: object) -> int:
+def stable_hash(value: object, memo: Optional[dict[str, int]] = None) -> int:
     """Process-stable 64-bit FNV-1a hash of a value's canonical repr.
 
     Builtin ``hash()`` is PYTHONHASHSEED-salted for str/bytes, so
@@ -34,11 +34,24 @@ def stable_hash(value: object) -> int:
     or pinned in a corpus.  ``repr`` is canonical for everything the
     simulators mix (str/int/tuple), making this hash identical on
     every platform and in every process.
+
+    ``memo`` maps ``repr`` text to its hash.  Keyed by the text, not
+    the value, it cannot confuse values that compare equal but print
+    differently (``1``, ``True``, ``1.0``).
     """
+    text = repr(value)
+    if memo is not None:
+        found = memo.get(text)
+        if found is not None:
+            return found
     acc = _FNV64_OFFSET
-    for byte in repr(value).encode("utf-8"):
+    for byte in text.encode("utf-8"):
         acc = ((acc ^ byte) * _FNV64_PRIME) & _MASK64
+    if memo is not None:
+        memo[text] = acc
     return acc
+
+
 from repro.isa.dispatch import AcceleratorComplex
 from repro.regex.engine import RegexManager
 from repro.runtime.phparray import PhpArray
@@ -65,9 +78,12 @@ class CategoryRun:
     def bump_event(self, name: str, amount: int = 1) -> None:
         self.events[name] = self.events.get(name, 0) + amount
 
-    def mix_checksum(self, value: object) -> None:
+    def mix_checksum(
+        self, value: object, memo: Optional[dict[str, int]] = None
+    ) -> None:
+        """Fold ``stable_hash(value, memo)`` into the checksum."""
         self.checksum = (
-            self.checksum * 1099511628211 + stable_hash(value)
+            self.checksum * 1099511628211 + stable_hash(value, memo)
         ) & _MASK64
 
     def efficiency_vs(self, software: "CategoryRun") -> float:
@@ -91,6 +107,7 @@ class HashSimulator:
         generator: HashOpGenerator,
         costs: CostModel = DEFAULT_COSTS,
         complex_: Optional[AcceleratorComplex] = None,
+        hash_memo: Optional[dict[str, int]] = None,
     ) -> None:
         if mode not in ("software", "accelerated"):
             raise ValueError(f"unknown mode {mode!r}")
@@ -101,6 +118,7 @@ class HashSimulator:
         self.costs = costs
         self.complex = complex_
         self.run = CategoryRun("hash", mode)
+        self.hash_memo = hash_memo
         from repro.common.stats import StatRegistry
         self._sw_stats = StatRegistry(f"hash-{mode}")
         self.maps: dict[int, PhpArray] = {}
@@ -175,14 +193,14 @@ class HashSimulator:
                 array.set(op.key, value)
                 self._inserted_keys[op.map_id].add(op.key)
                 self.run.uops += self.costs.hash_insert_extra_uops
-            self.run.mix_checksum(value)
+            self.run.mix_checksum(value, self.hash_memo)
             return
         outcome = self.complex.hash_table.get(op.key, array.base_address)
         self.run.bump_event("hash_accesses")
         self.run.uops += self.costs.accel_issue_uops
         self.run.cycles += outcome.cycles
         if outcome.hit:
-            self.run.mix_checksum(outcome.value_ptr)
+            self.run.mix_checksum(outcome.value_ptr, self.hash_memo)
             return
         # Zero flag: software walk, then place the pair into the table.
         self.run.uops += self.costs.fallback_branch_uops
@@ -197,7 +215,7 @@ class HashSimulator:
         )
         self.run.cycles += fill.cycles
         self.run.bump_event("hash_accesses")
-        self.run.mix_checksum(value)
+        self.run.mix_checksum(value, self.hash_memo)
 
     def _do_foreach(self, op: HashOp) -> None:
         array = self._array_for(op.map_id)
@@ -215,7 +233,7 @@ class HashSimulator:
                     if value is None:
                         continue
                     visited += 1
-                    self.run.mix_checksum((key, value))
+                    self.run.mix_checksum((key, value), self.hash_memo)
                 self.run.uops += (
                     visited * self.costs.hash_foreach_per_entry_uops
                 )
@@ -223,7 +241,7 @@ class HashSimulator:
         visited = 0
         for key, value in array.items():
             visited += 1
-            self.run.mix_checksum((key, value))
+            self.run.mix_checksum((key, value), self.hash_memo)
         self.run.uops += visited * self.costs.hash_foreach_per_entry_uops
 
     def _do_free(self, op: HashOp) -> None:
@@ -277,6 +295,7 @@ class HeapSimulator:
         costs: CostModel = DEFAULT_COSTS,
         complex_: Optional[AcceleratorComplex] = None,
         sample_every: int = 0,
+        hash_memo: Optional[dict[str, int]] = None,
     ) -> None:
         self.mode = mode
         self.costs = costs
@@ -288,6 +307,7 @@ class HeapSimulator:
         else:
             self.slab = SlabAllocator()
         self.run = CategoryRun("heap", mode)
+        self.hash_memo = hash_memo
         self._addresses: dict[int, tuple[int, int]] = {}  # tag -> (addr, size)
         self.sample_every = sample_every
         self._event_count = 0
@@ -326,7 +346,7 @@ class HeapSimulator:
                     self.costs.fallback_branch_uops + self.costs.malloc_uops
                 )
         self._addresses[op.tag] = (addr, op.size)
-        self.run.mix_checksum(op.size)
+        self.run.mix_checksum(op.size, self.hash_memo)
 
     def _do_free(self, op: AllocOp) -> None:
         addr, size = self._addresses.pop(op.tag)
@@ -380,6 +400,7 @@ class StringSimulator:
         mode: str,
         costs: CostModel = DEFAULT_COSTS,
         complex_: Optional[AcceleratorComplex] = None,
+        hash_memo: Optional[dict[str, int]] = None,
     ) -> None:
         self.mode = mode
         self.costs = costs
@@ -388,6 +409,7 @@ class StringSimulator:
             raise ValueError("accelerated mode needs an AcceleratorComplex")
         self.library = StringLibrary()
         self.run = CategoryRun("string", mode)
+        self.hash_memo = hash_memo
 
     def execute(self, ops: list[StrOp]) -> None:
         for op in ops:
@@ -396,7 +418,7 @@ class StringSimulator:
                 if self.mode == "software"
                 else self._accel_op(op)
             )
-            self.run.mix_checksum(value)
+            self.run.mix_checksum(value, self.hash_memo)
 
     def _software_op(self, op: StrOp) -> object:
         lib = self.library
@@ -476,6 +498,7 @@ class RegexSimulator:
         mode: str,
         costs: CostModel = DEFAULT_COSTS,
         complex_: Optional[AcceleratorComplex] = None,
+        hash_memo: Optional[dict[str, int]] = None,
     ) -> None:
         self.mode = mode
         self.costs = costs
@@ -484,6 +507,7 @@ class RegexSimulator:
             raise ValueError("accelerated mode needs an AcceleratorComplex")
         self.manager = RegexManager()
         self.run = CategoryRun("regex", mode)
+        self.hash_memo = hash_memo
         #: Figure 12 numerators/denominators
         self.chars_total = 0
         self.chars_skipped_sifting = 0
@@ -504,7 +528,7 @@ class RegexSimulator:
             regex = self.manager.compile(pattern)
             matches, examined = regex.findall(content)
             self._charge_chars(examined, calls=1)
-            self.run.mix_checksum((i, len(matches)))
+            self.run.mix_checksum((i, len(matches)), self.hash_memo)
             self.chars_total += len(content)
             if i == 0 and task.function_set.mutating and matches:
                 content, _, _ = self._plain_replace(content, matches, "~")
@@ -524,7 +548,7 @@ class RegexSimulator:
         sieve = self.manager.compile(patterns[0])
         matches, examined = sieve.findall(content)
         self._charge_chars(examined, calls=1)
-        self.run.mix_checksum((0, len(matches)))
+        self.run.mix_checksum((0, len(matches)), self.hash_memo)
         self.chars_total += len(content)
         if task.function_set.mutating and matches:
             content, hv, pad = sifter.replace_with_padding(
@@ -536,7 +560,7 @@ class RegexSimulator:
             self._charge_chars(result.chars_examined, calls=1)
             self.chars_total += len(content)
             self.chars_skipped_sifting += result.chars_skipped
-            self.run.mix_checksum((i, len(result.matches)))
+            self.run.mix_checksum((i, len(result.matches)), self.hash_memo)
 
     # -- ablation entry points (techniques disabled) ---------------------------
 
@@ -554,7 +578,7 @@ class RegexSimulator:
                 outcome = regex.match_prefix(content)
                 self._charge_chars(len(content), calls=1)
                 end = outcome.match.end if outcome.match else None
-                self.run.mix_checksum(end)
+                self.run.mix_checksum(end, self.hash_memo)
 
     @staticmethod
     def _plain_replace(content, matches, replacement):
@@ -578,7 +602,7 @@ class RegexSimulator:
                     outcome = regex.match_prefix(content)
                     self._charge_chars(len(content), calls=1)
                     end = outcome.match.end if outcome.match else None
-                    self.run.mix_checksum(end)
+                    self.run.mix_checksum(end, self.hash_memo)
                 else:
                     result = self.complex.reuse_matcher.match(
                         regex, content, pc=task.pc
@@ -589,7 +613,7 @@ class RegexSimulator:
                     )
                     self._charge_chars(result.chars_examined, calls=1)
                     self.chars_skipped_reuse += result.chars_skipped
-                    self.run.mix_checksum(result.match_end)
+                    self.run.mix_checksum(result.match_end, self.hash_memo)
 
     def _charge_chars(self, chars: int, calls: int) -> None:
         self.run.uops += (

@@ -125,7 +125,11 @@ def run_app_experiment(
     complex_ = AcceleratorComplex(
         config=ComplexConfig(hash_table=HashTableConfig(entries=hash_entries))
     )
-    sims_sw, sims_hw = _build_simulators(app, seed, costs, complex_)
+    # One checksum-hash memo for all eight category runs: the
+    # accelerated drive mixes the values the software drive just did.
+    hash_memo: dict[str, int] = {}
+    sims_sw, sims_hw = _build_simulators(app, seed, costs, complex_,
+                                         hash_memo)
     n_requests = requests if requests is not None else app.requests
     inliner = _drive(app, seed, n_requests, sims_sw)
     _drive(app, seed, n_requests, sims_hw)
@@ -167,16 +171,18 @@ def _build_simulators(
     seed: int,
     costs: CostModel,
     complex_: AcceleratorComplex,
+    hash_memo: dict[str, int],
 ):
     def make(mode, cx):
         # map_base_address is a pure function of map_id, so both modes
         # can share the cached stream's generator.
         stream = TRACE_CACHE.stream(app, seed, warmup_requests=0)
         return {
-            "hash": HashSimulator(mode, stream.hash_generator, costs, cx),
-            "heap": HeapSimulator(mode, costs, cx),
-            "string": StringSimulator(mode, costs, cx),
-            "regex": RegexSimulator(mode, costs, cx),
+            "hash": HashSimulator(mode, stream.hash_generator, costs, cx,
+                                  hash_memo=hash_memo),
+            "heap": HeapSimulator(mode, costs, cx, hash_memo=hash_memo),
+            "string": StringSimulator(mode, costs, cx, hash_memo=hash_memo),
+            "regex": RegexSimulator(mode, costs, cx, hash_memo=hash_memo),
         }
 
     return make("software", None), make("accelerated", complex_)

@@ -17,6 +17,7 @@ the baseline is honest, not a strawman.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
@@ -28,21 +29,55 @@ from repro.regex.parser import parse
 
 
 @lru_cache(maxsize=512)
-def _compile_tables(pattern: str) -> tuple[bool, bool, bool, FsmTable]:
-    """Memoized pattern → (ignore_case, anchors, FSM table).
+def _compile_tables(
+    pattern: str,
+) -> tuple[bool, bool, bool, FsmTable, Optional[Callable]]:
+    """Memoized pattern → (ignore_case, anchors, FSM table, start scan).
 
     Parse/NFA/DFA construction is deterministic and the resulting
     table is never mutated by matching, so compiled tables are shared
     across :class:`CompiledRegex` instances (each instance keeps its
     own stats registry).  Repeated patterns across simulators compile
-    once per process.
+    once per process.  The start scan is :func:`_live_start_finder`'s.
     """
     body = pattern
     ignore_case = body.startswith("(?i)")
     if ignore_case:
         body = body[4:]
     nfa = build_nfa(parse(body), body, fold_case=ignore_case)
-    return ignore_case, nfa.anchored_start, nfa.anchored_end, build_dfa(nfa)
+    fsm = build_dfa(nfa)
+    return (ignore_case, nfa.anchored_start, nfa.anchored_end, fsm,
+            _live_start_finder(fsm, nfa.anchored_start, nfa.anchored_end))
+
+
+def _live_start_finder(
+    fsm: FsmTable, anchored_start: bool, anchored_end: bool
+) -> Optional[Callable]:
+    """``re`` search for the next character the start state survives.
+
+    A candidate start whose first character the start state sends to
+    :data:`DEAD` (or to a state with no accept reachable) examines
+    exactly that one character and yields no match: either the start
+    state does not accept, or the pattern is ``$``-anchored and the
+    candidate is not at the end of the text.  :meth:`CompiledRegex.
+    search` jumps over a run of such starts with this scan, done in C,
+    and counts one examined character per start it skips.  Returns
+    None where a start cannot be skipped that way: a ``^``-anchored
+    pattern (one candidate), a start state with no accept reachable
+    (a candidate examines nothing), and a start state that accepts
+    without a ``$`` (every candidate matches).
+    """
+    start = fsm.start
+    live = fsm.live
+    if (anchored_start or not live[start]
+            or (start in fsm.accepting and not anchored_end)):
+        return None
+    row = fsm.transitions[start]
+    survivors = "".join(
+        f"\\x{code:02x}" for code, cls in enumerate(fsm.class_of)
+        if row[cls] != DEAD and live[row[cls]]
+    )
+    return re.compile(f"[{survivors}]" if survivors else "(?!)").search
 
 #: µops a software engine spends per character examined (table load,
 #: index computation, branch) — the character-at-a-time model.
@@ -77,7 +112,7 @@ class CompiledRegex:
     def __init__(self, pattern: str, stats: Optional[StatRegistry] = None) -> None:
         self.pattern = pattern
         (self.ignore_case, self.anchored_start, self.anchored_end,
-         self.fsm) = _compile_tables(pattern)
+         self.fsm, self._find_live_start) = _compile_tables(pattern)
         self.stats = stats if stats is not None else StatRegistry("regex")
 
     # -- low-level FSM access (used by the content-reuse accelerator) -----------
@@ -174,7 +209,10 @@ class CompiledRegex:
         candidate as soon as no accept remains reachable.
         ``start_limit`` bounds where a match may *begin* (matches may
         extend past it) — the hook content sifting uses to confine
-        candidate starts to hint-vector-marked segments.
+        candidate starts to hint-vector-marked segments.  Runs of
+        candidates whose first character kills the start state are
+        skipped by a C-level scan and charged the one character each
+        would have examined (see :func:`_live_start_finder`).
         """
         self.stats.bump("regex.calls")
         fsm = self.fsm
@@ -185,11 +223,23 @@ class CompiledRegex:
         fsm_start = fsm.start
         start_accepting = fsm_start in accepting
         anchored_end = self.anchored_end
+        find_live_start = self._find_live_start
         n = len(text)
         total_examined = 0
-        limit = n + 1 if start_limit is None else min(start_limit, n + 1)
-        positions = [start] if self.anchored_start else range(start, limit)
-        for s in positions:
+        if self.anchored_start:
+            limit = start + 1
+        else:
+            limit = n + 1 if start_limit is None else min(start_limit, n + 1)
+        scan_end = min(limit, n)
+        s = start
+        while s < limit:
+            if find_live_start is not None:
+                found = find_live_start(text, s, scan_end)
+                skip_to = found.start() if found is not None else scan_end
+                total_examined += skip_to - s
+                s = skip_to
+                if s >= limit:
+                    break
             state = fsm_start
             best: Optional[int] = s if start_accepting else None
             pos = s
@@ -207,6 +257,7 @@ class CompiledRegex:
             if best is not None:
                 self._count(total_examined)
                 return ScanOutcome(MatchResult(s, best), total_examined)
+            s += 1
         self._count(total_examined)
         return ScanOutcome(None, total_examined)
 

@@ -30,6 +30,10 @@ _WORD_SEEDS = (
     "comment article revision module node wiki category tag index "
     "profile session token query render output buffer handler engine"
 ).split()
+#: ``choice(_WORD_SEEDS)``'s rejection sampler: draw this many bits,
+#: redraw while the draw is not below the seed count.
+_SEED_COUNT = len(_WORD_SEEDS)
+_SEED_BITS = _SEED_COUNT.bit_length()
 
 
 @dataclass
@@ -59,9 +63,16 @@ class TextCorpus:
     # -- low-level pieces -------------------------------------------------------
 
     def word(self) -> str:
-        if self.rng.random() < 0.75:
-            return self.rng.choice(_WORD_SEEDS)
-        return self.rng.ascii_word(3, 9)
+        # The same draws as ``choice(_WORD_SEEDS)``, without its two
+        # Python frames per call.
+        rng = self.rng
+        if rng.random() < 0.75:
+            getrandbits = rng.getrandbits
+            r = getrandbits(_SEED_BITS)
+            while r >= _SEED_COUNT:
+                r = getrandbits(_SEED_BITS)
+            return _WORD_SEEDS[r]
+        return rng.ascii_word(3, 9)
 
     def slug(self, words: int = 3) -> str:
         return "-".join(self.word() for _ in range(words))

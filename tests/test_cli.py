@@ -44,6 +44,7 @@ class TestCli:
     def test_fig12(self, capsys):
         out = run_cli(capsys, "fig12", "--requests", "2")
         assert "Figure 12" in out
+        assert "content skippable (sifting + reuse)" in out
 
     def test_ablation(self, capsys):
         out = run_cli(capsys, "ablation", "--requests", "2")
