@@ -12,43 +12,23 @@ flag), common-path-only (zero-flag fallbacks hand anything unusual to
 software handlers).
 """
 
-from repro.accel.hash_table import (
-    HardwareHashTable,
-    HashOpOutcome,
-    HashTableConfig,
-    ReverseTranslationTable,
-    simplified_hash,
-)
-from repro.accel.heap_manager import (
-    HardwareHeapManager,
-    HeapManagerConfig,
-    HeapOpOutcome,
-)
-from repro.accel.regex_accel import (
-    ContentReuseTable,
-    ContentSifter,
-    HintVector,
-    ReuseAcceleratedMatcher,
-    ReuseOutcome,
-    ReuseTableConfig,
-    SEGMENT_BYTES,
-    SiftScanResult,
-    pattern_starts_special,
-)
-from repro.accel.string_accel import (
-    MatrixConfigState,
-    StringAccelConfig,
-    StringAccelerator,
-    StringOpOutcome,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "HardwareHashTable", "HashTableConfig", "HashOpOutcome",
-    "ReverseTranslationTable", "simplified_hash",
-    "HardwareHeapManager", "HeapManagerConfig", "HeapOpOutcome",
-    "StringAccelerator", "StringAccelConfig", "StringOpOutcome",
-    "MatrixConfigState",
-    "ContentSifter", "HintVector", "SiftScanResult",
-    "ContentReuseTable", "ReuseTableConfig", "ReuseOutcome",
-    "ReuseAcceleratedMatcher", "pattern_starts_special", "SEGMENT_BYTES",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "hash_table": (
+        "HardwareHashTable", "HashOpOutcome", "HashTableConfig",
+        "ReverseTranslationTable", "simplified_hash",
+    ),
+    "heap_manager": (
+        "HardwareHeapManager", "HeapManagerConfig", "HeapOpOutcome",
+    ),
+    "regex_accel": (
+        "ContentReuseTable", "ContentSifter", "HintVector",
+        "ReuseAcceleratedMatcher", "ReuseOutcome", "ReuseTableConfig",
+        "SEGMENT_BYTES", "SiftScanResult", "pattern_starts_special",
+    ),
+    "string_accel": (
+        "MatrixConfigState", "StringAccelConfig", "StringAccelerator",
+        "StringOpOutcome",
+    ),
+})

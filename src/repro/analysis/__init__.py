@@ -21,48 +21,17 @@ See DESIGN.md ("Static analysis" and "Async safety & schema
 contracts") for the rule catalog and waiver syntax.
 """
 
-from repro.analysis.engine import (
-    DEFAULT_BASELINE_NAME,
-    RULES,
-    analyze_sources,
-    default_paths,
-    fix_waivers,
-    match_rules,
-    run,
-)
-from repro.analysis.reporting import (
-    BASELINE_SCHEMA,
-    REPORT_SCHEMA,
-    Finding,
-    apply_baseline,
-    fingerprints,
-    load_baseline,
-    render_json,
-    render_text,
-    rule_family,
-    save_baseline,
-    to_json_payload,
-    validate_lint_payload,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "DEFAULT_BASELINE_NAME",
-    "RULES",
-    "analyze_sources",
-    "default_paths",
-    "fix_waivers",
-    "match_rules",
-    "run",
-    "BASELINE_SCHEMA",
-    "REPORT_SCHEMA",
-    "Finding",
-    "apply_baseline",
-    "fingerprints",
-    "load_baseline",
-    "render_json",
-    "render_text",
-    "rule_family",
-    "save_baseline",
-    "to_json_payload",
-    "validate_lint_payload",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "engine": (
+        "DEFAULT_BASELINE_NAME", "RULES", "analyze_sources", "default_paths",
+        "fix_waivers", "match_rules", "run",
+    ),
+    "reporting": (
+        "BASELINE_SCHEMA", "REPORT_SCHEMA", "Finding", "apply_baseline",
+        "fingerprints", "load_baseline", "render_json", "render_text",
+        "rule_family", "save_baseline", "to_json_payload",
+        "validate_lint_payload",
+    ),
+})

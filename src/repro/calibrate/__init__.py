@@ -7,68 +7,24 @@ and the twin re-predicts under the fitted knobs so the prediction
 error (MAPE) is a first-class, regression-tracked number.
 """
 
-from repro.calibrate.fit import (
-    CalibrationError,
-    exponential_sample,
-    fit_arrivals,
-    fit_cache,
-    fit_route,
-    fit_service,
-    mape,
-    summarize_rows,
-)
-from repro.calibrate.report import (
-    CALIBRATE_HISTORY_SCHEMA,
-    CALIBRATE_SCHEMA,
-    MAPE_HIT_RATIO_BOUND,
-    MAPE_P99_BOUND,
-    MAX_DROPPED_FRACTION,
-    CalibrationReport,
-    append_calibrate_history,
-    calibrate_history_row,
-    format_calibration_report,
-    validate_calibrate_history_row,
-    validate_calibration_payload,
-)
-from repro.calibrate.run import (
-    calibrate_rows,
-    history_context,
-    run_calibrate,
-    self_calibrate,
-)
-from repro.calibrate.twin import (
-    RouteParams,
-    TwinParams,
-    ground_truth_params,
-    simulate_twin,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "CALIBRATE_HISTORY_SCHEMA",
-    "CALIBRATE_SCHEMA",
-    "CalibrationError",
-    "CalibrationReport",
-    "MAPE_HIT_RATIO_BOUND",
-    "MAPE_P99_BOUND",
-    "MAX_DROPPED_FRACTION",
-    "RouteParams",
-    "TwinParams",
-    "append_calibrate_history",
-    "calibrate_history_row",
-    "calibrate_rows",
-    "exponential_sample",
-    "fit_arrivals",
-    "fit_cache",
-    "fit_route",
-    "fit_service",
-    "format_calibration_report",
-    "ground_truth_params",
-    "history_context",
-    "mape",
-    "run_calibrate",
-    "self_calibrate",
-    "simulate_twin",
-    "summarize_rows",
-    "validate_calibrate_history_row",
-    "validate_calibration_payload",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "fit": (
+        "CalibrationError", "exponential_sample", "fit_arrivals", "fit_cache",
+        "fit_route", "fit_service", "mape", "summarize_rows",
+    ),
+    "report": (
+        "CALIBRATE_HISTORY_SCHEMA", "CALIBRATE_SCHEMA", "MAPE_HIT_RATIO_BOUND",
+        "MAPE_P99_BOUND", "MAX_DROPPED_FRACTION", "CalibrationReport",
+        "append_calibrate_history", "calibrate_history_row",
+        "format_calibration_report", "validate_calibrate_history_row",
+        "validate_calibration_payload",
+    ),
+    "run": (
+        "calibrate_rows", "history_context", "run_calibrate", "self_calibrate",
+    ),
+    "twin": (
+        "RouteParams", "TwinParams", "ground_truth_params", "simulate_twin",
+    ),
+})

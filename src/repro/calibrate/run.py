@@ -61,7 +61,7 @@ from repro.calibrate.twin import (
     simulate_twin,
 )
 from repro.core.perf import HISTORY_PATH, OUT_DIR
-from repro.serve.loadclient import ArrivalShape
+from repro.serve.arrivals import ArrivalShape
 
 #: Render workers the twin assumes (a structural knob, not fitted).
 TWIN_WORKERS = 8

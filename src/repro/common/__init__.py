@@ -1,20 +1,11 @@
 """Shared utilities: deterministic randomness and statistics plumbing."""
 
-from repro.common.rng import DEFAULT_SEED, DeterministicRng
-from repro.common.stats import (
-    Counter,
-    Histogram,
-    StatRegistry,
-    geometric_mean,
-    weighted_mean,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "DEFAULT_SEED",
-    "DeterministicRng",
-    "Counter",
-    "Histogram",
-    "StatRegistry",
-    "geometric_mean",
-    "weighted_mean",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "rng": ("DEFAULT_SEED", "DeterministicRng"),
+    "stats": (
+        "Counter", "Histogram", "StatRegistry", "geometric_mean",
+        "weighted_mean",
+    ),
+})

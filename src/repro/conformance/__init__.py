@@ -18,54 +18,19 @@ this package checks them against independent ground truth:
   ``tests/test_conformance.py``.
 """
 
-from repro.conformance.oracles import (
-    ConformanceFailure,
-    HASH_BASES,
-    hash_ops_outcomes,
-    run_checksum_oracle,
-    run_hash_oracle,
-    run_heap_oracle,
-    run_regex_oracle,
-    run_reuse_oracle,
-    run_string_oracle,
-    shadow_checksum,
-)
-from repro.conformance.invariants import (
-    INVARIANTS,
-    run_invariant,
-)
-from repro.conformance.fuzzer import (
-    DOMAINS,
-    ConformanceReport,
-    DomainResult,
-    fuzz_domain,
-    generate_case,
-    run_case,
-    run_conformance,
-    shrink_case,
-    write_failure_artifacts,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "ConformanceFailure",
-    "ConformanceReport",
-    "DomainResult",
-    "DOMAINS",
-    "HASH_BASES",
-    "INVARIANTS",
-    "fuzz_domain",
-    "generate_case",
-    "hash_ops_outcomes",
-    "run_case",
-    "run_conformance",
-    "run_checksum_oracle",
-    "run_hash_oracle",
-    "run_heap_oracle",
-    "run_invariant",
-    "run_regex_oracle",
-    "run_reuse_oracle",
-    "run_string_oracle",
-    "shadow_checksum",
-    "shrink_case",
-    "write_failure_artifacts",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "oracles": (
+        "ConformanceFailure", "HASH_BASES", "hash_ops_outcomes",
+        "run_checksum_oracle", "run_hash_oracle", "run_heap_oracle",
+        "run_regex_oracle", "run_reuse_oracle", "run_string_oracle",
+        "shadow_checksum",
+    ),
+    "invariants": ("INVARIANTS", "run_invariant"),
+    "fuzzer": (
+        "DOMAINS", "ConformanceReport", "DomainResult", "fuzz_domain",
+        "generate_case", "run_case", "run_conformance", "shrink_case",
+        "write_failure_artifacts",
+    ),
+})

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 from repro.common.rng import DEFAULT_SEED, DeterministicRng
 from repro.core.costs import DEFAULT_COSTS, CostModel
+from repro.core.expcache import EXPERIMENT_CACHE
 from repro.core.execute import (
     CategoryRun,
     HashSimulator,
@@ -21,8 +22,10 @@ from repro.core.execute import (
     RegexSimulator,
     StringSimulator,
 )
+from repro.core.parallel import map_cells
 from repro.isa.dispatch import AcceleratorComplex, ComplexConfig
 from repro.accel.hash_table import HashTableConfig
+from repro.optim.inline_cache import HashMapInliner
 from repro.power.mcpat import EnergyLedger, energy_savings
 from repro.uarch.core import (
     CharacterizationRun,
@@ -198,8 +201,6 @@ def _drive(app: AppWorkload, seed: int, n_requests: int, sims):
     hardware hash table is designed for).  Returns the inliner for
     specialization reporting.
     """
-    from repro.optim.inline_cache import HashMapInliner
-
     stream = TRACE_CACHE.stream(app, seed, warmup_requests=0)
     inliner = HashMapInliner()
     for i in range(n_requests):
@@ -421,9 +422,6 @@ def full_evaluation(
     job count, and repeated calls with the same (seed, requests) are
     served from :data:`~repro.core.expcache.EXPERIMENT_CACHE`.
     """
-    from repro.core.expcache import EXPERIMENT_CACHE
-    from repro.core.parallel import map_cells
-
     cells = [(app.name, seed, requests) for app in php_applications()]
     return map_cells(
         _evaluate_app_cell,

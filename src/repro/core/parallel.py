@@ -24,11 +24,10 @@ Determinism-under-parallelism invariants (tested):
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Callable, Iterable, Optional, Sequence
 
 from repro.common.stats import StatRegistry
-from repro.core.expcache import ExperimentCache
+from repro.core.expcache import ExperimentCache, cache_key
 
 #: Environment override for the default job count.
 ENV_JOBS = "REPRO_JOBS"
@@ -97,6 +96,10 @@ def parallel_map(
     else:
         PARALLEL_STATS.bump("parallel.pools")
         PARALLEL_STATS.bump("parallel.pool_tasks", len(missing))
+        # Imported here: it loads multiprocessing, which no inline
+        # (jobs 1) sweep needs.
+        from concurrent.futures import ProcessPoolExecutor
+
         workers = min(jobs, len(missing))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             # executor.map yields in submission order: deterministic.
@@ -123,8 +126,6 @@ def map_cells(
     cell; ``label`` namespaces the key so different sweeps sharing an
     item shape never collide.
     """
-    from repro.core.expcache import cache_key
-
     key_fn = None
     if cache is not None and key_parts is not None:
         def key_fn(item):

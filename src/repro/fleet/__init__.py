@@ -15,60 +15,29 @@ object cache, under deterministic invalidation storms.
 * :mod:`repro.fleet.report`     — fleet-level metrics
 """
 
-from repro.fleet.balancer import (
-    BALANCERS,
-    BalancerPolicy,
-    LeastOutstanding,
-    PowerOfTwoChoices,
-    RoundRobin,
-    make_balancer,
-)
-from repro.fleet.cache_tier import (
-    CacheShard,
-    CacheTierConfig,
-    ObjectCacheTier,
-    ShardRing,
-    stable_hash64,
-)
-from repro.fleet.overload import (
-    OverloadConfig,
-    OverloadReport,
-    OverloadSimulator,
-    defended_config,
-    headline_scenarios,
-    min_nodes_to_survive,
-    overload_topology,
-    run_overload,
-    run_overload_matrix,
-    undefended_config,
-)
-from repro.fleet.report import FleetReport, NodeUtilization
-from repro.fleet.simulator import (
-    FleetConfig,
-    FleetSimulator,
-    fleet_slo_capacity,
-    min_nodes_for_slo,
-    run_fleet,
-    run_fleet_matrix,
-)
-from repro.fleet.topology import (
-    FleetTopology,
-    NodeSpec,
-    homogeneous_fleet,
-    mixed_fleet,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "BALANCERS", "BalancerPolicy", "LeastOutstanding",
-    "PowerOfTwoChoices", "RoundRobin", "make_balancer",
-    "CacheShard", "CacheTierConfig", "ObjectCacheTier", "ShardRing",
-    "stable_hash64",
-    "OverloadConfig", "OverloadReport", "OverloadSimulator",
-    "defended_config", "headline_scenarios", "min_nodes_to_survive",
-    "overload_topology", "run_overload", "run_overload_matrix",
-    "undefended_config",
-    "FleetReport", "NodeUtilization",
-    "FleetConfig", "FleetSimulator", "fleet_slo_capacity",
-    "min_nodes_for_slo", "run_fleet", "run_fleet_matrix",
-    "FleetTopology", "NodeSpec", "homogeneous_fleet", "mixed_fleet",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "balancer": (
+        "BALANCERS", "BalancerPolicy", "LeastOutstanding", "PowerOfTwoChoices",
+        "RoundRobin", "make_balancer",
+    ),
+    "cache_tier": (
+        "CacheShard", "CacheTierConfig", "ObjectCacheTier", "ShardRing",
+        "stable_hash64",
+    ),
+    "overload": (
+        "OverloadConfig", "OverloadReport", "OverloadSimulator",
+        "defended_config", "headline_scenarios", "min_nodes_to_survive",
+        "overload_topology", "run_overload", "run_overload_matrix",
+        "undefended_config",
+    ),
+    "report": ("FleetReport", "NodeUtilization"),
+    "simulator": (
+        "FleetConfig", "FleetSimulator", "fleet_slo_capacity",
+        "min_nodes_for_slo", "run_fleet", "run_fleet_matrix",
+    ),
+    "topology": (
+        "FleetTopology", "NodeSpec", "homogeneous_fleet", "mixed_fleet",
+    ),
+})

@@ -1,23 +1,11 @@
 """ISA extensions (Section 4.6) and the accelerator complex."""
 
-from repro.isa.dispatch import AcceleratorComplex, ComplexConfig
-from repro.isa.multicore import CoherenceEvent, MulticoreSystem
-from repro.isa.instructions import (
-    ISA_EXTENSIONS,
-    Instruction,
-    REGEX_API,
-    Unit,
-    instruction,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "AcceleratorComplex",
-    "ComplexConfig",
-    "MulticoreSystem",
-    "CoherenceEvent",
-    "ISA_EXTENSIONS",
-    "Instruction",
-    "REGEX_API",
-    "Unit",
-    "instruction",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "dispatch": ("AcceleratorComplex", "ComplexConfig"),
+    "multicore": ("CoherenceEvent", "MulticoreSystem"),
+    "instructions": (
+        "ISA_EXTENSIONS", "Instruction", "REGEX_API", "Unit", "instruction",
+    ),
+})

@@ -11,6 +11,7 @@ during context switches").
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Optional
 
@@ -42,6 +43,24 @@ class ComplexConfig:
     reuse: ReuseTableConfig | None = None
 
 
+def _weak_writeback(complex_: AcceleratorComplex):
+    """The hash table's writeback handler, holding ``complex_`` weakly.
+
+    A bound method would close the cycle complex -> hash table ->
+    handler -> complex and leave every complex (one per render) to the
+    cyclic collector.  A writeback whose complex is gone does nothing,
+    as one whose software map is gone does.
+    """
+    method = weakref.WeakMethod(complex_._writeback)
+
+    def writeback(base_address: int, key: str, value_ptr) -> None:
+        bound = method()
+        if bound is not None:
+            bound(base_address, key, value_ptr)
+
+    return writeback
+
+
 class AcceleratorComplex:
     """All four Section-4 accelerators plus their software couplings."""
 
@@ -61,7 +80,7 @@ class AcceleratorComplex:
         self.reuse_matcher = ReuseAcceleratedMatcher(self.reuse_table)
         #: software hash maps by base address (coherence partners)
         self._software_maps: dict[int, PhpArray] = {}
-        self.hash_table.writeback_handler = self._writeback
+        self.hash_table.writeback_handler = _weak_writeback(self)
         #: dispatch mode: 'accelerated' normally, 'software' while a
         #: resilience circuit breaker holds the complex out of service
         self.dispatch_mode = "accelerated"

@@ -12,32 +12,16 @@ measurement rather than assumed:
 * :mod:`repro.optim.alloc_tuning` — kernel-call tuning.
 """
 
-from repro.optim.alloc_tuning import (
-    TunedSlabAllocator,
-    TuningConfig,
-    measure_alloc_tuning,
-)
-from repro.optim.inline_cache import (
-    HashMapInliner,
-    HiddenClass,
-    InlineCache,
-    POLYMORPHIC_LIMIT,
-    ShapeTree,
-)
-from repro.optim.refcount import RcCoalescingBuffer, measure_rc_mitigation
-from repro.optim.typecheck import CheckedLoadCache, measure_typecheck_mitigation
+from repro import lazy_exports
 
-__all__ = [
-    "HiddenClass",
-    "ShapeTree",
-    "InlineCache",
-    "HashMapInliner",
-    "POLYMORPHIC_LIMIT",
-    "RcCoalescingBuffer",
-    "measure_rc_mitigation",
-    "CheckedLoadCache",
-    "measure_typecheck_mitigation",
-    "TunedSlabAllocator",
-    "TuningConfig",
-    "measure_alloc_tuning",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "alloc_tuning": (
+        "TunedSlabAllocator", "TuningConfig", "measure_alloc_tuning",
+    ),
+    "inline_cache": (
+        "HashMapInliner", "HiddenClass", "InlineCache", "POLYMORPHIC_LIMIT",
+        "ShapeTree",
+    ),
+    "refcount": ("RcCoalescingBuffer", "measure_rc_mitigation"),
+    "typecheck": ("CheckedLoadCache", "measure_typecheck_mitigation"),
+})

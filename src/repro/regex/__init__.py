@@ -5,41 +5,14 @@ the content-sifting and content-reuse accelerators in
 :mod:`repro.accel.regex_accel` have an honest baseline to reduce.
 """
 
-from repro.regex.charset import (
-    CharSet,
-    DIGIT,
-    REGULAR_CHARS,
-    SPACE,
-    SPECIAL_CHARS,
-    WORD,
-)
-from repro.regex.dfa import DEAD, FsmTable, build_dfa, partition_alphabet
-from repro.regex.engine import (
-    CompiledRegex,
-    MatchResult,
-    RegexManager,
-    ScanOutcome,
-)
-from repro.regex.nfa import Nfa, build_nfa
-from repro.regex.parser import RegexSyntaxError, parse
+from repro import lazy_exports
 
-__all__ = [
-    "CharSet",
-    "DIGIT",
-    "WORD",
-    "SPACE",
-    "REGULAR_CHARS",
-    "SPECIAL_CHARS",
-    "parse",
-    "RegexSyntaxError",
-    "Nfa",
-    "build_nfa",
-    "FsmTable",
-    "build_dfa",
-    "partition_alphabet",
-    "DEAD",
-    "CompiledRegex",
-    "MatchResult",
-    "ScanOutcome",
-    "RegexManager",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "charset": (
+        "CharSet", "DIGIT", "REGULAR_CHARS", "SPACE", "SPECIAL_CHARS", "WORD",
+    ),
+    "dfa": ("DEAD", "FsmTable", "build_dfa", "partition_alphabet"),
+    "engine": ("CompiledRegex", "MatchResult", "RegexManager", "ScanOutcome"),
+    "nfa": ("Nfa", "build_nfa"),
+    "parser": ("RegexSyntaxError", "parse"),
+})

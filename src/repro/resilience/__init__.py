@@ -13,44 +13,21 @@ tail latency acceptable while degraded.
 * :mod:`repro.resilience.report`    — degraded-mode metrics
 """
 
-from repro.resilience.faults import (
-    ACCEL_FAULT_KINDS,
-    FaultInjector,
-    FaultSchedule,
-    FaultScenario,
-    FaultWindow,
-    WorkerCrash,
-    standard_scenarios,
-)
-from repro.resilience.policies import (
-    AdaptiveConcurrencyLimit,
-    AdaptiveConcurrencyPolicy,
-    CircuitBreaker,
-    CircuitBreakerPolicy,
-    ResiliencePolicy,
-    RetryBudget,
-    RetryBudgetPolicy,
-    RetryPolicy,
-    full_policy,
-    no_policy,
-    retries_only,
-    standard_policies,
-)
-from repro.resilience.report import ResilienceReport, ScenarioSweep
-from repro.resilience.simulator import (
-    ResilientServerConfig,
-    ResilientServerSimulator,
-    run_matrix,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "ACCEL_FAULT_KINDS", "FaultInjector", "FaultSchedule", "FaultScenario",
-    "FaultWindow", "WorkerCrash", "standard_scenarios",
-    "AdaptiveConcurrencyLimit", "AdaptiveConcurrencyPolicy",
-    "CircuitBreaker", "CircuitBreakerPolicy", "ResiliencePolicy",
-    "RetryBudget", "RetryBudgetPolicy",
-    "RetryPolicy", "full_policy", "no_policy", "retries_only",
-    "standard_policies",
-    "ResilienceReport", "ScenarioSweep",
-    "ResilientServerConfig", "ResilientServerSimulator", "run_matrix",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "faults": (
+        "ACCEL_FAULT_KINDS", "FaultInjector", "FaultSchedule", "FaultScenario",
+        "FaultWindow", "WorkerCrash", "standard_scenarios",
+    ),
+    "policies": (
+        "AdaptiveConcurrencyLimit", "AdaptiveConcurrencyPolicy",
+        "CircuitBreaker", "CircuitBreakerPolicy", "ResiliencePolicy",
+        "RetryBudget", "RetryBudgetPolicy", "RetryPolicy", "full_policy",
+        "no_policy", "retries_only", "standard_policies",
+    ),
+    "report": ("ResilienceReport", "ScenarioSweep"),
+    "simulator": (
+        "ResilientServerConfig", "ResilientServerSimulator", "run_matrix",
+    ),
+})

@@ -9,43 +9,18 @@ Contents
 * :mod:`repro.runtime.symbols`  — symbol tables, ``extract``/``compact``
 """
 
-from repro.runtime.interp import (
-    AcceleratedBackend,
-    MiniPhpError,
-    MiniPhpInterpreter,
-    SoftwareBackend,
-    split_template,
-    tokenize_code,
-)
-from repro.runtime.phparray import PhpArray, php_array_hash
-from repro.runtime.slab import (
-    CHUNK_BYTES,
-    SLAB_CLASS_BOUNDS,
-    SlabAllocator,
-    slab_class_for,
-)
-from repro.runtime.strings import StringLibrary, StringOpResult
-from repro.runtime.symbols import ScopeStack, SymbolTable
-from repro.runtime.values import PhpType, PhpValue, ValueRuntime
+from repro import lazy_exports
 
-__all__ = [
-    "MiniPhpInterpreter",
-    "MiniPhpError",
-    "SoftwareBackend",
-    "AcceleratedBackend",
-    "split_template",
-    "tokenize_code",
-    "PhpArray",
-    "php_array_hash",
-    "SlabAllocator",
-    "slab_class_for",
-    "SLAB_CLASS_BOUNDS",
-    "CHUNK_BYTES",
-    "StringLibrary",
-    "StringOpResult",
-    "ScopeStack",
-    "SymbolTable",
-    "PhpType",
-    "PhpValue",
-    "ValueRuntime",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "interp": (
+        "AcceleratedBackend", "MiniPhpError", "MiniPhpInterpreter",
+        "SoftwareBackend", "split_template", "tokenize_code",
+    ),
+    "phparray": ("PhpArray", "php_array_hash"),
+    "slab": (
+        "CHUNK_BYTES", "SLAB_CLASS_BOUNDS", "SlabAllocator", "slab_class_for",
+    ),
+    "strings": ("StringLibrary", "StringOpResult"),
+    "symbols": ("ScopeStack", "SymbolTable"),
+    "values": ("PhpType", "PhpValue", "ValueRuntime"),
+})

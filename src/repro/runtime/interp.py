@@ -36,13 +36,11 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from repro.common.stats import StatRegistry
+from repro.isa.dispatch import AcceleratorComplex
 from repro.regex.engine import RegexManager
-
-if TYPE_CHECKING:  # imported lazily at runtime to avoid an import cycle
-    from repro.isa.dispatch import AcceleratorComplex
 from repro.runtime.phparray import PhpArray
 from repro.runtime.strings import HTML_ESCAPES, StringLibrary
 
@@ -197,10 +195,9 @@ class AcceleratedBackend(SoftwareBackend):
 
     name = "accelerated"
 
-    def __init__(self, complex_: Optional["AcceleratorComplex"] = None) -> None:
+    def __init__(self, complex_: Optional[AcceleratorComplex] = None) -> None:
         super().__init__()
         if complex_ is None:
-            from repro.isa.dispatch import AcceleratorComplex
             complex_ = AcceleratorComplex()
         self.complex = complex_
         self._cycles = 0.0

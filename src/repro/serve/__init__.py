@@ -13,9 +13,11 @@ backend, with the PR-1/PR-6 overload policies re-costed onto seconds:
   stampede defenses from :mod:`repro.fleet.cache_tier`
   (single-flight, stale-while-revalidate, TTL jitter).
 * :mod:`repro.serve.loadclient` — an open-loop asyncio load driver
-  holding thousands of keep-alive connections, with the
-  diurnal/flash arrival shapes of :mod:`repro.fleet.overload` and a
-  retry budget capping client amplification.
+  holding thousands of keep-alive connections, with a retry budget
+  capping client amplification.
+* :mod:`repro.serve.arrivals` — the driver's diurnal/flash arrival
+  shapes (those of :mod:`repro.fleet.overload`), free of asyncio so
+  the calibration twin draws the same schedules.
 * :mod:`repro.serve.telemetry` — a bounded per-request JSONL event
   stream (``repro-serve-telemetry/1``).
 * :mod:`repro.serve.report` — the :class:`ServeReport` (goodput,
@@ -27,28 +29,15 @@ Wall-clock access is only through :mod:`repro.core.clock` — the
 DET001 lint rule stays blocking over this package.
 """
 
-from repro.serve.httpd import MiniPhpServer, ServeConfig
-from repro.serve.loadclient import LoadConfig, LoadResult, run_load
-from repro.serve.report import (
-    SERVE_SCHEMA,
-    ServeReport,
-    append_serve_history,
-    validate_serve_payload,
-)
-from repro.serve.run import run_serve
-from repro.serve.telemetry import TELEMETRY_SCHEMA, TelemetryLog
+from repro import lazy_exports
 
-__all__ = [
-    "SERVE_SCHEMA",
-    "TELEMETRY_SCHEMA",
-    "LoadConfig",
-    "LoadResult",
-    "MiniPhpServer",
-    "ServeConfig",
-    "ServeReport",
-    "TelemetryLog",
-    "append_serve_history",
-    "run_load",
-    "run_serve",
-    "validate_serve_payload",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "httpd": ("MiniPhpServer", "ServeConfig"),
+    "loadclient": ("LoadConfig", "LoadResult", "run_load"),
+    "report": (
+        "SERVE_SCHEMA", "ServeReport", "append_serve_history",
+        "validate_serve_payload",
+    ),
+    "run": ("run_serve",),
+    "telemetry": ("TELEMETRY_SCHEMA", "TelemetryLog"),
+})

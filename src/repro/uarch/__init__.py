@@ -8,64 +8,24 @@ generation (:mod:`repro.uarch.trace`), a faithful TAGE predictor
 (:mod:`repro.uarch.core`).
 """
 
-from repro.uarch.btb import Btb
-from repro.uarch.caches import (
-    Cache,
-    CacheConfig,
-    CacheHierarchy,
-    HierarchyConfig,
-    LINE_BYTES,
-    StreamPrefetcher,
-)
-from repro.uarch.core import (
-    CharacterizationRun,
-    CoreConfig,
-    TraceCounts,
-    effective_issue_width,
-    estimate_cycles,
-    sweep_btb_and_icache,
-    sweep_cores,
-)
-from repro.uarch.predictors import Bimodal, GShare, compare_predictors
-from repro.uarch.slb import SlbAssistedPredictor, SlbConfig, measure_slb_headroom
-from repro.uarch.tage import FoldedHistory, Tage, TageConfig
-from repro.uarch.trace import (
-    BranchRecord,
-    FetchRecord,
-    MemRecord,
-    SPEC_LIKE_PROFILE,
-    TraceGenerator,
-    TraceProfile,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "Btb",
-    "Cache",
-    "CacheConfig",
-    "CacheHierarchy",
-    "HierarchyConfig",
-    "StreamPrefetcher",
-    "LINE_BYTES",
-    "CharacterizationRun",
-    "CoreConfig",
-    "TraceCounts",
-    "effective_issue_width",
-    "estimate_cycles",
-    "sweep_btb_and_icache",
-    "sweep_cores",
-    "Tage",
-    "TageConfig",
-    "Bimodal",
-    "GShare",
-    "compare_predictors",
-    "SlbAssistedPredictor",
-    "SlbConfig",
-    "measure_slb_headroom",
-    "FoldedHistory",
-    "BranchRecord",
-    "FetchRecord",
-    "MemRecord",
-    "TraceGenerator",
-    "TraceProfile",
-    "SPEC_LIKE_PROFILE",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "btb": ("Btb",),
+    "caches": (
+        "Cache", "CacheConfig", "CacheHierarchy", "HierarchyConfig",
+        "LINE_BYTES", "StreamPrefetcher",
+    ),
+    "core": (
+        "CharacterizationRun", "CoreConfig", "TraceCounts",
+        "effective_issue_width", "estimate_cycles", "sweep_btb_and_icache",
+        "sweep_cores",
+    ),
+    "predictors": ("Bimodal", "GShare", "compare_predictors"),
+    "slb": ("SlbAssistedPredictor", "SlbConfig", "measure_slb_headroom"),
+    "tage": ("FoldedHistory", "Tage", "TageConfig"),
+    "trace": (
+        "BranchRecord", "FetchRecord", "MemRecord", "SPEC_LIKE_PROFILE",
+        "TraceGenerator", "TraceProfile",
+    ),
+})

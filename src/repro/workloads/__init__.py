@@ -8,98 +8,43 @@ per-application parameterizations (:mod:`repro.workloads.apps`), and
 the request driver (:mod:`repro.workloads.loadgen`).
 """
 
-from repro.workloads.allocs import (
-    AllocOp,
-    AllocOpGenerator,
-    AllocWorkloadSpec,
-    size_fraction_at_or_below,
-)
-from repro.workloads.apps import (
-    AppWorkload,
-    drupal,
-    mediawiki,
-    php_applications,
-    specweb_banking,
-    specweb_ecommerce,
-    specweb_profile,
-    wordpress,
-)
-from repro.workloads.hashops import (
-    HashOp,
-    HashOpGenerator,
-    HashWorkloadSpec,
-    trace_statistics,
-)
-from repro.workloads.loadgen import LoadGenerator, RequestTrace, TraceSummary
-from repro.workloads.profiles import (
-    ACCELERATED,
-    Activity,
-    LeafFunction,
-    MITIGATION_FACTORS,
-    Profile,
-    apply_mitigations,
-    flat_php_profile,
-    hotspot_profile,
-)
-from repro.workloads.regexops import (
-    AUTHOR_URL_PATTERN,
-    RegexFunctionSet,
-    RegexOpGenerator,
-    RegexWorkloadSpec,
-    ReuseTask,
-    SANITIZE_SET,
-    SHORTCODE_SET,
-    SiftTask,
-    WIKITEXT_SET,
-    WPTEXTURIZE_SET,
-)
-from repro.workloads.server import (
-    LoadPoint,
-    ServerConfig,
-    ServedRequest,
-    WebServerSimulator,
-    latency_curve,
-    slo_capacity,
-)
-from repro.workloads.templates import (
-    APP_TEMPLATES,
-    AppTemplate,
-    build_variables,
-    render_app_page,
-)
-from repro.workloads.validation import Anchor, fidelity_failures, validate_app
-from repro.workloads.strops import (
-    SMART_QUOTE_MAP,
-    StringWorkloadSpec,
-    StrOp,
-    StrOpGenerator,
-)
-from repro.workloads.text import (
-    ContentSpec,
-    SEGMENT_BYTES,
-    TEXTURIZE_SPECIALS,
-    TextCorpus,
-    special_char_segments,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "AllocOp", "AllocOpGenerator", "AllocWorkloadSpec",
-    "size_fraction_at_or_below",
-    "AppWorkload", "wordpress", "drupal", "mediawiki",
-    "php_applications", "specweb_banking", "specweb_ecommerce",
-    "specweb_profile",
-    "HashOp", "HashOpGenerator", "HashWorkloadSpec", "trace_statistics",
-    "LoadGenerator", "RequestTrace", "TraceSummary",
-    "Activity", "ACCELERATED", "LeafFunction", "MITIGATION_FACTORS",
-    "Profile", "apply_mitigations", "flat_php_profile", "hotspot_profile",
-    "RegexFunctionSet", "RegexOpGenerator", "RegexWorkloadSpec",
-    "ReuseTask", "SiftTask", "AUTHOR_URL_PATTERN",
-    "WPTEXTURIZE_SET", "SHORTCODE_SET", "SANITIZE_SET", "WIKITEXT_SET",
-    "StrOp", "StrOpGenerator", "StringWorkloadSpec", "SMART_QUOTE_MAP",
-    "ContentSpec", "TextCorpus", "SEGMENT_BYTES", "TEXTURIZE_SPECIALS",
-    "special_char_segments",
-    "WebServerSimulator", "ServerConfig", "ServedRequest", "LoadPoint",
-    "latency_curve", "slo_capacity",
-    "APP_TEMPLATES", "AppTemplate", "build_variables", "render_app_page",
-    "Anchor", "validate_app", "fidelity_failures",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "allocs": (
+        "AllocOp", "AllocOpGenerator", "AllocWorkloadSpec",
+        "size_fraction_at_or_below",
+    ),
+    "apps": (
+        "AppWorkload", "drupal", "mediawiki", "php_applications",
+        "specweb_banking", "specweb_ecommerce", "specweb_profile", "wordpress",
+    ),
+    "hashops": (
+        "HashOp", "HashOpGenerator", "HashWorkloadSpec", "trace_statistics",
+    ),
+    "loadgen": ("LoadGenerator", "RequestTrace", "TraceSummary"),
+    "profiles": (
+        "ACCELERATED", "Activity", "LeafFunction", "MITIGATION_FACTORS",
+        "Profile", "apply_mitigations", "flat_php_profile", "hotspot_profile",
+    ),
+    "regexops": (
+        "AUTHOR_URL_PATTERN", "RegexFunctionSet", "RegexOpGenerator",
+        "RegexWorkloadSpec", "ReuseTask", "SANITIZE_SET", "SHORTCODE_SET",
+        "SiftTask", "WIKITEXT_SET", "WPTEXTURIZE_SET",
+    ),
+    "server": (
+        "LoadPoint", "ServerConfig", "ServedRequest", "WebServerSimulator",
+        "latency_curve", "slo_capacity",
+    ),
+    "templates": (
+        "APP_TEMPLATES", "AppTemplate", "build_variables", "render_app_page",
+    ),
+    "validation": ("Anchor", "fidelity_failures", "validate_app"),
+    "strops": (
+        "SMART_QUOTE_MAP", "StringWorkloadSpec", "StrOp", "StrOpGenerator",
+    ),
+    "text": (
+        "ContentSpec", "SEGMENT_BYTES", "TEXTURIZE_SPECIALS", "TextCorpus",
+        "special_char_segments",
+    ),
+})

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.common.rng import DeterministicRng
-from repro.runtime.interp import MiniPhpInterpreter
+from repro.runtime.interp import AcceleratedBackend, MiniPhpInterpreter
 from repro.workloads.text import ContentSpec, TextCorpus
 
 WORDPRESS_TEMPLATE = """<!doctype html>
@@ -176,8 +176,6 @@ def render_http_page(
     if app not in APP_TEMPLATES:
         raise KeyError(f"unknown app {app!r}")
     if accelerated:
-        from repro.runtime.interp import AcceleratedBackend
-
         interp = MiniPhpInterpreter(AcceleratedBackend())
     else:
         interp = MiniPhpInterpreter()

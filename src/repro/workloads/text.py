@@ -98,44 +98,54 @@ class TextCorpus:
 
     def paragraph(self, spec: ContentSpec) -> str:
         """One paragraph honouring the special-segment density."""
-        random = self.rng.random
+        rng = self.rng
+        random = rng.random
+        getrandbits = rng.getrandbits
+        ascii_word = rng.ascii_word
         word = self.word
         quote = spec.quote_probability
         quote_or_tag = quote + spec.tag_probability
+        special = spec.special_segment_fraction
+        words = spec.words_per_paragraph
         pieces: list[str] = []
+        append = pieces.append
         length = 0
-        specials_pending = False
         next_special_check = SEGMENT_BYTES
-        while len(pieces) < spec.words_per_paragraph:
-            piece = word()
-            pieces.append(piece)
+        while len(pieces) < words:
+            # ``word()`` inlined: the same draws, one frame fewer.
+            if random() < 0.75:
+                r = getrandbits(_SEED_BITS)
+                while r >= _SEED_COUNT:
+                    r = getrandbits(_SEED_BITS)
+                piece = _WORD_SEEDS[r]
+            else:
+                piece = ascii_word(3, 9)
+            append(piece)
             length += len(piece) + 1
             if length >= next_special_check:
                 next_special_check += SEGMENT_BYTES
-                if random() < spec.special_segment_fraction:
-                    specials_pending = True
-            if specials_pending:
-                specials_pending = False
+                if random() >= special:
+                    continue
                 roll = random()
                 if roll < quote * 0.5:
-                    pieces.append(f"'{word()}'")
+                    append(f"'{word()}'")
                 elif roll < quote:
-                    pieces.append(f'"{word()}"')
+                    append(f'"{word()}"')
                 elif roll < quote_or_tag:
-                    pieces.append(self.html_tag())
+                    append(self.html_tag())
                 else:
-                    pieces.append(word() + "\n")
-        # Join with spaces; regular-character punctuation sprinkled in.
+                    append(word() + "\n")
+        # Join with spaces; regular-character punctuation sprinkled in
+        # after every piece but the last and those ending a line.
         out: list[str] = []
-        last = len(pieces) - 1
-        for i, piece in enumerate(pieces):
-            out.append(piece)
-            if piece.endswith("\n"):
-                continue
-            if i < last:
-                out.append(", " if random() < 0.08 else " ")
-        text = "".join(out)
-        return text.rstrip() + "."
+        add = out.append
+        for piece in pieces[:-1]:
+            add(piece)
+            if not piece.endswith("\n"):
+                add(", " if random() < 0.08 else " ")
+        if pieces:
+            add(pieces[-1])
+        return "".join(out).rstrip() + "."
 
     def post(self, spec: ContentSpec) -> str:
         """A multi-paragraph post/article body."""

@@ -150,6 +150,69 @@ class TestDrawIdentity:
                 assert corpus.word() == expected
                 assert rng._random.getstate() == plain.getstate()
 
+    @staticmethod
+    def _reference_paragraph(corpus, spec) -> str:
+        """``TextCorpus.paragraph`` as it was before ``word()`` was
+        inlined into it: a draw-order oracle for the fast loop."""
+        from repro.workloads.text import SEGMENT_BYTES
+
+        random = corpus.rng.random
+        quote = spec.quote_probability
+        pieces = []
+        length = 0
+        specials_pending = False
+        next_special_check = SEGMENT_BYTES
+        while len(pieces) < spec.words_per_paragraph:
+            piece = corpus.word()
+            pieces.append(piece)
+            length += len(piece) + 1
+            if length >= next_special_check:
+                next_special_check += SEGMENT_BYTES
+                if random() < spec.special_segment_fraction:
+                    specials_pending = True
+            if specials_pending:
+                specials_pending = False
+                roll = random()
+                if roll < quote * 0.5:
+                    pieces.append(f"'{corpus.word()}'")
+                elif roll < quote:
+                    pieces.append(f'"{corpus.word()}"')
+                elif roll < quote + spec.tag_probability:
+                    pieces.append(corpus.html_tag())
+                else:
+                    pieces.append(corpus.word() + "\n")
+        out = []
+        last = len(pieces) - 1
+        for i, piece in enumerate(pieces):
+            out.append(piece)
+            if piece.endswith("\n"):
+                continue
+            if i < last:
+                out.append(", " if random() < 0.08 else " ")
+        return "".join(out).rstrip() + "."
+
+    def test_corpus_paragraph_matches_the_word_at_a_time_loop(self):
+        from repro.workloads.text import ContentSpec, TextCorpus
+
+        # The rendered pages' spec, the trace generators' default, and
+        # the join's edges (no piece, one piece).
+        specs = [
+            ContentSpec(paragraphs=1, words_per_paragraph=40,
+                        special_segment_fraction=0.3),
+            ContentSpec(),
+            ContentSpec(words_per_paragraph=0),
+            ContentSpec(words_per_paragraph=1),
+        ]
+        for seed in range(200):
+            for spec in specs:
+                fast = TextCorpus(DeterministicRng(seed))
+                slow = TextCorpus(DeterministicRng(seed))
+                for _ in range(3):
+                    assert fast.paragraph(spec) \
+                        == self._reference_paragraph(slow, spec)
+                    assert fast.rng._random.getstate() \
+                        == slow.rng._random.getstate()
+
 
 class TestCounter:
     def test_add(self):

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro.isa import (
@@ -74,6 +77,45 @@ class TestAcceleratorComplex:
         cycles = complex_.context_switch_in(saved)
         assert cycles >= 1
         assert complex_.string.strwriteconfig() == saved
+
+    def test_installed_writeback_reaches_software_map(self):
+        complex_ = AcceleratorComplex()
+        array = PhpArray(base_address=0x9400)
+        complex_.register_map(array)
+        complex_.hash_table.writeback_handler(0x9400, "k", "v")
+        assert array.get_default("k") == "v"
+        assert complex_.stats.get("complex.dirty_writebacks") == 1
+
+    def test_writeback_handler_holds_the_complex_weakly(self):
+        complex_ = AcceleratorComplex()
+        array = PhpArray(base_address=0x9500)
+        complex_.register_map(array)
+        handler = complex_.hash_table.writeback_handler
+        gc.disable()
+        try:
+            ref = weakref.ref(complex_)
+            del complex_
+            # Freed by reference counting alone: no cycle holds it.
+            assert ref() is None
+        finally:
+            gc.enable()
+        # A writeback whose complex is gone does nothing.
+        handler(0x9500, "k", "v")
+        assert array.get_default("k") is None
+
+    def test_renders_leave_no_cyclic_garbage(self):
+        """Each render's complex, interpreter and arrays are freed by
+        reference counting, so renders never wake the cyclic collector."""
+        from repro.workloads.templates import APP_TEMPLATES, render_http_page
+
+        gc.collect()
+        gc.disable()
+        try:
+            for app in sorted(APP_TEMPLATES):
+                render_http_page(app, seed=7)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_remote_request_flushes_map(self, complex_):
         array = PhpArray(base_address=0x9100)
